@@ -35,8 +35,9 @@ def build_fling() -> AnimationDriver:
 
 
 def run_fling(enforce_drain: bool):
-    # The co-design bridge attaches to the scheduler *before* the run, so
-    # this arm constructs one explicitly instead of going through simulate().
+    # simulate() is the one way to run a simulation, but the co-design bridge
+    # must attach to the scheduler *before* the run, so this arm composes a
+    # scheduler by hand (constructors take a plain DVSyncConfig).
     scheduler = DVSyncScheduler(
         build_fling(), MATE_60_PRO, DVSyncConfig(buffer_count=4)
     )

@@ -4,14 +4,10 @@ Two layers live here:
 
 * the **front-door types** — :class:`Arch` names the architecture under test
   and :class:`SimConfig` collects every per-run knob (buffers, pre-render
-  limit, engine, seed, timeout) that used to be scattered across an
-  ``architecture: str`` + ``config: int | DVSyncConfig`` split in
-  :func:`repro.simulate`, :class:`~repro.exec.spec.RunSpec`,
-  ``compare_scenario`` and the scheduler constructors. Old string/int
-  spellings keep working (``Arch`` is a ``str`` enum; legacy ``config=``
-  values are coerced behind a :class:`DeprecationWarning`), and
+  limit, engine, seed, timeout) that :func:`repro.simulate` accepts.
   :meth:`SimConfig.normalize` is the one place that splits a config into the
-  ``(buffer_count, dvsync_config)`` pair the runner layer consumes;
+  ``(buffer_count, dvsync_config)`` pair a :class:`~repro.exec.spec.RunSpec`
+  and the scheduler constructors consume;
 
 * the **aware-channel surface** — decoupling-*oblivious* apps need nothing
   from this module: the scheduler applies pre-rendering to their
@@ -29,7 +25,6 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import warnings
 from typing import TYPE_CHECKING
 
 from repro.core.config import DVSyncConfig
@@ -121,55 +116,18 @@ class SimConfig:
             )
         from repro.exec.spec import ENGINES  # lazy: avoids an import cycle
 
-        engine = getattr(self.engine, "value", self.engine)
-        if engine is not self.engine:
-            object.__setattr__(self, "engine", engine)
         if self.engine not in ENGINES:
             raise ConfigurationError(
                 f"unknown engine {self.engine!r}; known: {', '.join(ENGINES)}"
             )
-
-    @classmethod
-    def coerce(cls, config: "SimConfig | DVSyncConfig | int | None") -> "SimConfig":
-        """Normalize legacy ``config=`` spellings into a :class:`SimConfig`.
-
-        ``None`` and :class:`SimConfig` pass through; an int buffer count or
-        a bare :class:`DVSyncConfig` still works but emits a
-        :class:`DeprecationWarning` naming the typed replacement.
-        """
-        if config is None:
-            return cls()
-        if isinstance(config, cls):
-            return config
-        if isinstance(config, DVSyncConfig):
-            warnings.warn(
-                "passing a bare DVSyncConfig as config= is deprecated; "
-                "wrap it as SimConfig(dvsync=...)",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            return cls(dvsync=config)
-        if isinstance(config, int) and not isinstance(config, bool):
-            warnings.warn(
-                "passing an int buffer count as config= is deprecated; "
-                "use SimConfig(buffer_count=...)",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            return cls(buffer_count=config)
-        raise ConfigurationError(
-            f"config must be a SimConfig, a DVSyncConfig, an int buffer "
-            f"count, or None; got {config!r}"
-        )
 
     def normalize(
         self, architecture: "Arch | str"
     ) -> tuple[int | None, DVSyncConfig | None]:
         """Split this config into ``(buffer_count, dvsync_config)``.
 
-        This is the single successor of the ``_split_config`` helpers that
-        every front door used to duplicate: under :attr:`Arch.DVSYNC` the
-        buffer/pre-render shorthands become a :class:`DVSyncConfig`; under
+        Under :attr:`Arch.DVSYNC` the buffer/pre-render shorthands become a
+        :class:`DVSyncConfig`; under
         :attr:`Arch.VSYNC` any D-VSync-only knob is a
         :class:`~repro.errors.ConfigurationError`.
         """

@@ -35,26 +35,13 @@ class DVSyncScheduler(SchedulerBase):
         self,
         driver: ScenarioDriver,
         device: DeviceProfile,
-        config: "DVSyncConfig | SimConfig | None" = None,
+        config: DVSyncConfig | None = None,
         *,
         offsets: VsyncOffsets | None = None,
         sim: Simulator | None = None,
         telemetry=None,
         verify=None,
     ) -> None:
-        if config is not None and not isinstance(config, DVSyncConfig):
-            # Accept a typed SimConfig where a DVSyncConfig is expected.
-            from repro.core.api import Arch, SimConfig
-
-            if isinstance(config, SimConfig):
-                _, config = config.normalize(Arch.DVSYNC)
-            else:
-                from repro.errors import ConfigurationError
-
-                raise ConfigurationError(
-                    f"config must be a DVSyncConfig, SimConfig, or None; "
-                    f"got {config!r}"
-                )
         self.config = config or DVSyncConfig()
         super().__init__(
             driver,

@@ -213,9 +213,6 @@ class RunSpec:
         architecture = getattr(self.architecture, "value", self.architecture)
         if architecture is not self.architecture:
             object.__setattr__(self, "architecture", architecture)
-        engine = getattr(self.engine, "value", self.engine)
-        if engine is not self.engine:
-            object.__setattr__(self, "engine", engine)
         if self.engine not in ENGINES:
             raise ConfigurationError(
                 f"unknown engine {self.engine!r}; known: {', '.join(ENGINES)}"

@@ -6,11 +6,7 @@ from repro.experiments.runner import (
     add_comparison_arms,
     compare_scenario,
     comparison_from_study,
-    execute_specs,
-    run_driver,
-    run_spec,
     scenario_spec,
-    scenario_study,
 )
 
 __all__ = [
@@ -19,9 +15,5 @@ __all__ = [
     "add_comparison_arms",
     "compare_scenario",
     "comparison_from_study",
-    "execute_specs",
-    "run_driver",
-    "run_spec",
     "scenario_spec",
-    "scenario_study",
 ]

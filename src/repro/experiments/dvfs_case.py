@@ -15,11 +15,11 @@ analysis aggregates.
 
 from __future__ import annotations
 
-from repro.core.config import DVSyncConfig
+from repro.core.api import SimConfig
 from repro.display.device import PIXEL_5
 from repro.experiments.base import ExperimentResult, mean
-from repro.experiments.runner import run_driver
 from repro.extensions.dvfs import FrequencyGovernor, GovernedDriver
+from repro.facade import simulate
 from repro.metrics.fdps import fdps
 from repro.study import Study, StudyResult
 from repro.units import ms
@@ -53,13 +53,11 @@ def _run_arm(architecture: str, window: float | None, repetition: int, bursts: i
     if window is not None:
         governor = FrequencyGovernor(window_periods=window, period_ns=period)
         driver = GovernedDriver(driver, governor)
-    if architecture == "vsync":
-        result = run_driver(driver, PIXEL_5, "vsync", buffer_count=3)
-    else:
-        result = run_driver(
-            driver, PIXEL_5, "dvsync",
-            dvsync_config=DVSyncConfig(buffer_count=4),
-        )
+    buffers = 3 if architecture == "vsync" else 4
+    result = simulate(
+        driver, PIXEL_5, architecture=architecture,
+        config=SimConfig(buffer_count=buffers),
+    )
     if governor is None:
         return fdps(result), None, None
     return fdps(result), governor.stats.mean_level, governor.stats.energy_saving_percent

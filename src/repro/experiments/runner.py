@@ -2,104 +2,39 @@
 
 Experiments describe *what* to run (scenario, device, buffer configuration);
 this module owns the mechanics: describing runs as content-hashable
-:class:`~repro.exec.spec.RunSpec`\\ s, submitting batches through the default
-:class:`~repro.exec.executor.Executor` (parallel fan-out + result cache),
-averaging over repetitions the way the paper averages over five runs
-(Appendix A.2), and pairing VSync/D-VSync arms over the same workloads.
+:class:`~repro.exec.spec.RunSpec`\\ s (:func:`scenario_spec`), averaging
+over repetitions the way the paper averages over five runs (Appendix A.2),
+and pairing VSync/D-VSync arms over the same workloads.
 
-:func:`run_driver` remains for callers that already hold a live driver
-instance (tests, ad-hoc exploration); experiment modules should prefer the
-spec-based path so their runs parallelize and cache.
-
-Since the study refactor, the paired comparison is itself a
-:class:`~repro.study.Study`: :func:`add_comparison_arms` lays the
-``2 × runs`` arms of one scenario into any study's grid (so a whole
-figure's scenarios batch together), :func:`comparison_from_study` extracts
-a :class:`ScenarioComparison` from the keyed result with pair-drop
-semantics, and :func:`compare_scenario` is the one-scenario convenience
-wrapper (a 2-arm study executed on the spot).
+The paired comparison is a :class:`~repro.study.Study`:
+:func:`add_comparison_arms` lays the ``2 × runs`` arms of one scenario into
+any study's grid (so a whole figure's scenarios batch together),
+:func:`comparison_from_study` extracts a :class:`ScenarioComparison` from
+the keyed result with pair-drop semantics, and :func:`compare_scenario` runs
+one scenario's 2-arm study on the spot. A single run goes through
+:func:`repro.simulate`.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import statistics
-from typing import Callable, Iterable, Sequence
 
 from repro.core.config import DVSyncConfig
-from repro.core.dvsync import DVSyncScheduler
 from repro.display.device import DeviceProfile
-from repro.errors import ConfigurationError, ExecutionError
-from repro.exec.executor import get_default_executor
+from repro.errors import ExecutionError
 from repro.exec.spec import DriverSpec, RunSpec
 from repro.metrics.fdps import fdps
 from repro.metrics.latency import latency_summary
-from repro.pipeline.driver import ScenarioDriver
 from repro.pipeline.scheduler_base import RunResult
 from repro.study import Study, StudyResult
 from repro.telemetry import runtime as telemetry_runtime
-from repro.vsync.scheduler import VSyncScheduler
 from repro.workloads.scenarios import Scenario
 
 #: Repetitions per scenario — the paper averages five runs to mitigate
 #: fluctuations (Appendix A.2). The CLI's ``--runs`` defaults to this value;
 #: ``--quick`` additionally lets each experiment trim its own repetitions.
 DEFAULT_RUNS = 5
-
-
-def run_driver(
-    driver: ScenarioDriver,
-    device: DeviceProfile,
-    architecture: str = "vsync",
-    buffer_count: int | None = None,
-    dvsync_config: DVSyncConfig | None = None,
-    telemetry=None,
-    verify=None,
-    engine: str = "auto",
-) -> RunResult:
-    """Run one live driver to completion under the requested architecture.
-
-    ``telemetry=None`` / ``verify=None`` defer to the process-wide switches;
-    the resulting snapshot (if any) is published to the telemetry collector
-    like executor-path runs are. ``engine`` follows the spec-layer contract:
-    ``"auto"`` replays trace-pure runs through :mod:`repro.fastpath` and
-    falls back to the event loop otherwise; ``"fastpath"`` raises when the
-    run cannot be replayed.
-    """
-    architecture = getattr(architecture, "value", architecture)
-    from repro.fastpath.engine import fastpath_driver_attempt, resolve_engine
-
-    requested = resolve_engine(engine)
-    if requested != "event":
-        result, reason = fastpath_driver_attempt(
-            driver, device, architecture, buffer_count, dvsync_config,
-            telemetry, verify,
-        )
-        if result is not None:
-            telemetry_runtime.collect(result.telemetry)
-            return result
-        if requested == "fastpath":
-            raise ConfigurationError(
-                f"engine='fastpath' cannot replay this run: {reason}"
-            )
-    if architecture == "vsync":
-        scheduler = VSyncScheduler(
-            driver,
-            device,
-            buffer_count=buffer_count,
-            telemetry=telemetry,
-            verify=verify,
-        )
-    elif architecture == "dvsync":
-        config = dvsync_config or DVSyncConfig(buffer_count=buffer_count or 4)
-        scheduler = DVSyncScheduler(
-            driver, device, config=config, telemetry=telemetry, verify=verify
-        )
-    else:
-        raise ConfigurationError(f"unknown architecture {architecture!r}")
-    result = scheduler.run()
-    telemetry_runtime.collect(result.telemetry)
-    return result
 
 
 def scenario_spec(
@@ -142,16 +77,6 @@ def scenario_spec(
     )
 
 
-def execute_specs(specs: Iterable[RunSpec]) -> list[RunResult]:
-    """Submit a batch of specs through the default executor, order-preserving."""
-    return get_default_executor().map(specs)
-
-
-def run_spec(spec: RunSpec) -> RunResult:
-    """Execute (or fetch from cache) a single spec via the default executor."""
-    return get_default_executor().run(spec)
-
-
 @dataclasses.dataclass
 class ScenarioComparison:
     """Paired VSync / D-VSync measurements for one scenario."""
@@ -181,47 +106,12 @@ class ScenarioComparison:
         )
 
 
-def _comparison_from_results(
-    scenario_name: str,
-    vsync_results: Sequence[RunResult],
-    dvsync_results: Sequence[RunResult],
-) -> ScenarioComparison:
-    return ScenarioComparison(
-        scenario=scenario_name,
-        vsync_fdps=statistics.fmean(fdps(r) for r in vsync_results),
-        dvsync_fdps=statistics.fmean(fdps(r) for r in dvsync_results),
-        vsync_latency_ms=statistics.fmean(
-            latency_summary(r).mean_ms for r in vsync_results
-        ),
-        dvsync_latency_ms=statistics.fmean(
-            latency_summary(r).mean_ms for r in dvsync_results
-        ),
-        vsync_results=list(vsync_results),
-        dvsync_results=list(dvsync_results),
-    )
-
-
-def _comparison_knobs(vsync_buffers, dvsync_config):
-    """Accept a typed :class:`~repro.core.api.SimConfig` for either arm.
-
-    The legacy spellings (int buffer count / bare :class:`DVSyncConfig`)
-    remain the native wire types and pass through unchanged.
-    """
-    from repro.core.api import Arch, SimConfig
-
-    if isinstance(vsync_buffers, SimConfig):
-        vsync_buffers, _ = vsync_buffers.normalize(Arch.VSYNC)
-    if isinstance(dvsync_config, SimConfig):
-        _, dvsync_config = dvsync_config.normalize(Arch.DVSYNC)
-    return vsync_buffers, dvsync_config
-
-
 def add_comparison_arms(
     matrix: Study,
     workload: Scenario,
     device: DeviceProfile,
-    vsync_buffers: "int | SimConfig | None" = None,
-    dvsync_config: "DVSyncConfig | SimConfig | None" = None,
+    vsync_buffers: int | None = None,
+    dvsync_config: DVSyncConfig | None = None,
     runs: int = DEFAULT_RUNS,
     **coords,
 ) -> Study:
@@ -235,7 +125,6 @@ def add_comparison_arms(
     deliberately not named after common axis names, so coordinates like
     ``scenario=...`` pass through ``**coords`` unobstructed.)
     """
-    vsync_buffers, dvsync_config = _comparison_knobs(vsync_buffers, dvsync_config)
     for run in range(runs):
         matrix.add(
             scenario_spec(
@@ -276,63 +165,38 @@ def comparison_from_study(
             f"scenario {scenario_name!r}: every repetition pair failed "
             f"({requested} requested); see the executor's failure records"
         )
-    return _comparison_from_results(
-        scenario_name,
-        [vsync for vsync, _ in pairs],
-        [dvsync for _, dvsync in pairs],
-    )
-
-
-def scenario_study(
-    scenario: Scenario,
-    device: DeviceProfile,
-    vsync_buffers: int | None = None,
-    dvsync_config: DVSyncConfig | None = None,
-    runs: int = DEFAULT_RUNS,
-) -> Study:
-    """A single scenario's comparison as a self-contained 2-arm study."""
-    study = Study(
-        f"compare:{scenario.name}",
-        analyze=lambda result: comparison_from_study(result, scenario.name),
-    )
-    return add_comparison_arms(
-        study, scenario, device, vsync_buffers, dvsync_config, runs
+    vsync_results = [vsync for vsync, _ in pairs]
+    dvsync_results = [dvsync for _, dvsync in pairs]
+    return ScenarioComparison(
+        scenario=scenario_name,
+        vsync_fdps=statistics.fmean(fdps(r) for r in vsync_results),
+        dvsync_fdps=statistics.fmean(fdps(r) for r in dvsync_results),
+        vsync_latency_ms=statistics.fmean(
+            latency_summary(r).mean_ms for r in vsync_results
+        ),
+        dvsync_latency_ms=statistics.fmean(
+            latency_summary(r).mean_ms for r in dvsync_results
+        ),
+        vsync_results=vsync_results,
+        dvsync_results=dvsync_results,
     )
 
 
 def compare_scenario(
     scenario: Scenario,
     device: DeviceProfile,
-    vsync_buffers: "int | SimConfig | None" = None,
-    dvsync_config: "DVSyncConfig | SimConfig | None" = None,
+    vsync_buffers: int | None = None,
+    dvsync_config: DVSyncConfig | None = None,
     runs: int = DEFAULT_RUNS,
-    driver_factory: Callable[[int], ScenarioDriver] | None = None,
 ) -> ScenarioComparison:
     """Run a scenario under both architectures, averaged over *runs* seeds.
 
-    Without a custom ``driver_factory`` this is :func:`scenario_study`
-    executed on the spot: the ``2 × runs`` arms go out as one supervised
-    executor batch. A custom factory (an in-memory driver the spec layer
-    cannot name) falls back to serial in-process execution. Either arm's
-    knob also accepts a typed :class:`~repro.core.api.SimConfig`.
+    This is a self-contained 2-arm :class:`~repro.study.Study` executed on
+    the spot: the ``2 × runs`` arms go out as one supervised executor batch.
     """
-    vsync_buffers, dvsync_config = _comparison_knobs(vsync_buffers, dvsync_config)
-    if driver_factory is not None:
-        vsync_results = []
-        dvsync_results = []
-        for run in range(runs):
-            vsync_results.append(
-                run_driver(
-                    driver_factory(run), device, "vsync", buffer_count=vsync_buffers
-                )
-            )
-            dvsync_results.append(
-                run_driver(
-                    driver_factory(run), device, "dvsync", dvsync_config=dvsync_config
-                )
-            )
-        return _comparison_from_results(scenario.name, vsync_results, dvsync_results)
-
-    return scenario_study(
-        scenario, device, vsync_buffers, dvsync_config, runs
-    ).run()
+    study = Study(
+        f"compare:{scenario.name}",
+        analyze=lambda result: comparison_from_study(result, scenario.name),
+    )
+    add_comparison_arms(study, scenario, device, vsync_buffers, dvsync_config, runs)
+    return study.run()

@@ -19,7 +19,6 @@ cached result is shared across them.
 
 from repro.fastpath.engine import (
     ENGINES,
-    driver_run_ineligibility,
     fastpath_attempt,
     fastpath_driver_attempt,
     get_default_engine,
@@ -34,7 +33,6 @@ __all__ = [
     "ENGINES",
     "CompiledProfile",
     "clear_profile_cache",
-    "driver_run_ineligibility",
     "fastpath_attempt",
     "fastpath_driver_attempt",
     "get_default_engine",

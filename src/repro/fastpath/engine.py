@@ -2,8 +2,10 @@
 
 The replay engine is byte-exact only for *trace-pure* runs: the driver's
 demand is a deterministic function of time and nothing observes or perturbs
-the run from outside the scheduling rules. :func:`spec_ineligibility`
-encodes those rules; :func:`fastpath_attempt` is what the executor calls.
+the run from outside the scheduling rules. :func:`run_ineligibility` states
+the rules once; :func:`spec_ineligibility` adds the spec-only ones (faults,
+watchdog, start time). :func:`fastpath_attempt` is what the executor calls,
+and :func:`fastpath_driver_attempt` is its live-driver twin.
 
 The process-wide default engine (consulted by ``engine="auto"`` specs) comes
 from ``--engine`` on the CLI or the ``REPRO_ENGINE`` environment variable —
@@ -13,6 +15,7 @@ the latter so process-pool workers inherit the parent's choice.
 from __future__ import annotations
 
 import os
+import types
 from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError
@@ -59,8 +62,7 @@ def reset_default_engine() -> None:
 
 def resolve_engine(engine: "str | None") -> str:
     """Resolve an engine request string against the process default."""
-    requested = getattr(engine, "value", engine) or "auto"
-    requested = _validate(requested, "engine")
+    requested = _validate(engine or "auto", "engine")
     if requested == "auto":
         requested = get_default_engine()
     return requested
@@ -83,56 +85,13 @@ def _numpy_available() -> bool:
     return True
 
 
-def spec_ineligibility(spec: "RunSpec") -> str | None:
-    """Why *spec* cannot be replayed, or ``None`` if it is trace-pure.
+def run_ineligibility(architecture: str, dvsync, telemetry, verify) -> str | None:
+    """The eligibility rules shared by spec runs and live-driver runs.
 
-    The driver's own purity (``replay_profile()``) is checked separately by
-    :func:`fastpath_attempt`, because answering it requires building the
-    driver.
+    ``telemetry`` and ``verify`` are tri-state: ``None`` defers to the
+    process-wide switch, ``False`` declines, and anything else (``True``, a
+    live session or checker) observes the event loop.
     """
-    if spec.faults:
-        return "fault injection perturbs the run from outside the scheduling rules"
-    if spec.watchdog:
-        return "the degradation watchdog observes live fault telemetry"
-    if spec.telemetry:
-        return "the run records a telemetry session over event-loop probes"
-    if spec.verify:
-        return "the run attaches an event-loop invariant checker"
-    from repro.telemetry import runtime as telemetry_runtime
-
-    if telemetry_runtime.enabled():
-        return "the process-wide telemetry switch is on (event-loop probes)"
-    from repro.verify import runtime as verify_runtime
-
-    if verify_runtime.enabled():
-        return "the process-wide verification switch is on (event-loop checker)"
-    if spec.architecture == "dvsync":
-        config = spec.dvsync
-        if config is not None and not config.enabled:
-            return "DVSyncConfig(enabled=False) routes frames through live fallback"
-    if spec.start_time < 0:
-        return "negative start_time (the event engine rejects it at schedule time)"
-    if not _numpy_available():
-        return "numpy is unavailable"
-    return None
-
-
-def driver_run_ineligibility(
-    architecture: str,
-    dvsync_config,
-    telemetry,
-    verify,
-) -> str | None:
-    """Why a live-driver run cannot be replayed, or ``None`` if it can.
-
-    Mirrors :func:`spec_ineligibility` for the in-process ``run_driver``
-    path, where telemetry/verify may be live session objects rather than
-    wire flags: anything other than an explicit ``False`` (or a ``None``
-    deferring to an *off* process switch) observes the event loop.
-    """
-    if architecture not in ("vsync", "dvsync"):
-        # fall through to the event path, which raises the canonical error
-        return f"unknown architecture {architecture!r}"
     if telemetry is None:
         from repro.telemetry import runtime as telemetry_runtime
 
@@ -147,12 +106,40 @@ def driver_run_ineligibility(
             return "the process-wide verification switch is on (event-loop checker)"
     elif verify is not False:
         return "the run attaches an event-loop invariant checker"
-    if architecture == "dvsync":
-        if dvsync_config is not None and not dvsync_config.enabled:
-            return "DVSyncConfig(enabled=False) routes frames through live fallback"
+    if architecture == "dvsync" and dvsync is not None and not dvsync.enabled:
+        return "DVSyncConfig(enabled=False) routes frames through live fallback"
     if not _numpy_available():
         return "numpy is unavailable"
     return None
+
+
+def spec_ineligibility(spec: "RunSpec") -> str | None:
+    """Why *spec* cannot be replayed, or ``None`` if it is trace-pure.
+
+    The driver's own purity (``replay_profile()``) is checked separately by
+    :func:`fastpath_attempt`, because answering it requires building the
+    driver. A spec's ``False`` observer flags defer to the process switches.
+    """
+    if spec.faults:
+        return "fault injection perturbs the run from outside the scheduling rules"
+    if spec.watchdog:
+        return "the degradation watchdog observes live fault telemetry"
+    if spec.start_time < 0:
+        return "negative start_time (the event engine rejects it at schedule time)"
+    return run_ineligibility(
+        spec.architecture, spec.dvsync, spec.telemetry or None, spec.verify or None
+    )
+
+
+def _replay(spec, driver, compiled) -> tuple["RunResult | None", str | None]:
+    """Replay a compiled profile; ``(None, reason)`` when it cannot be."""
+    if compiled is None:
+        return None, "the driver is not trace-pure (no replay profile)"
+    if compiled.frame_times.shape[0] == 0:
+        return None, "the driver's replay profile has no frame times"
+    from repro.fastpath.replay import replay_spec
+
+    return replay_spec(spec, driver, compiled), None
 
 
 def fastpath_driver_attempt(
@@ -170,21 +157,13 @@ def fastpath_driver_attempt(
     must fall back to the event engine. The driver's profile is compiled on
     the spot (no cache: a live driver has no content identity to key on).
     """
-    reason = driver_run_ineligibility(architecture, dvsync_config, telemetry, verify)
+    reason = run_ineligibility(architecture, dvsync_config, telemetry, verify)
     if reason is not None:
         return None, reason
-    profile = driver.replay_profile()
-    if profile is None:
-        return None, "the driver is not trace-pure (no replay profile)"
     from repro.fastpath.profile import compile_profile
 
-    compiled = compile_profile(profile)
-    if compiled.frame_times.shape[0] == 0:
-        return None, "the driver's replay profile has no frame times"
-    import types
-
-    from repro.fastpath.replay import replay_spec
-
+    profile = driver.replay_profile()
+    compiled = None if profile is None else compile_profile(profile)
     pseudo_spec = types.SimpleNamespace(
         device=device,
         architecture=architecture,
@@ -193,7 +172,7 @@ def fastpath_driver_attempt(
         start_time=0,
         horizon=None,
     )
-    return replay_spec(pseudo_spec, driver, compiled), None
+    return _replay(pseudo_spec, driver, compiled)
 
 
 def fastpath_attempt(
@@ -203,7 +182,8 @@ def fastpath_attempt(
 
     Returns ``(result, None, None)`` on success. On ineligibility returns
     ``(None, driver, reason)`` where ``driver`` is a freshly built driver the
-    event engine should reuse (``None`` when the driver was never built).
+    event engine should reuse (``None`` when the driver was never built, or
+    is a cached one that must stay untouched).
     """
     reason = spec_ineligibility(spec)
     if reason is not None:
@@ -211,10 +191,8 @@ def fastpath_attempt(
     from repro.fastpath.profile import load_compiled
 
     driver, compiled = load_compiled(spec.driver)
-    if compiled is None:
-        return None, driver, "the driver is not trace-pure (no replay profile)"
-    if compiled.frame_times.shape[0] == 0:
-        return None, None, "the driver's replay profile has no frame times"
-    from repro.fastpath.replay import replay_spec
-
-    return replay_spec(spec, driver, compiled), None, None
+    result, reason = _replay(spec, driver, compiled)
+    if result is None:
+        # only an uncached (non-trace-pure) driver may be handed on
+        return None, driver if compiled is None else None, reason
+    return result, None, None

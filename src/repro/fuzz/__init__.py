@@ -12,8 +12,8 @@ package, only on hand-picked scenarios. :mod:`repro.fuzz` searches the full
   coverage feedback biasing draws toward unvisited cells;
 * :mod:`~repro.fuzz.relations` — the metamorphic-relation catalog used as
   oracles: properties that must hold between *related* runs (engine parity,
-  determinism, observer neutrality, spelling/hash stability, cache
-  round-trips, and the paper's differential drops/ordering claims);
+  determinism, observer neutrality, cache round-trips, budget parity, and
+  the paper's differential drops/ordering claims);
 * :class:`~repro.fuzz.shrinker.Shrinker` — greedy per-knob minimization of a
   violating spec, so findings land as small, readable repros;
 * :class:`~repro.fuzz.campaign.FuzzCampaign` — one supervised

@@ -16,9 +16,6 @@ The catalog:
                      behavioral bytes (cross-backend determinism).
 ``observer-neutral`` telemetry sessions and invariant checkers observe the
                      run without changing its behavior.
-``spelling-neutral`` typed (:class:`~repro.core.api.Arch` /
-                     :class:`~repro.core.api.SimConfig`) and legacy wire
-                     spellings, and a wire round-trip, hash identically.
 ``cache-round-trip`` a result survives serialize → cache → deserialize
                      byte-identically.
 ``drops-not-worse``  D-VSync never drops more effective frames than the
@@ -205,47 +202,6 @@ class ObserverNeutrality(Relation):
         return None
 
 
-class SpellingNeutrality(Relation):
-    """Typed, legacy, and wire spellings of one spec hash identically."""
-
-    name = "spelling-neutral"
-    description = (
-        "Arch/SimConfig spellings, raw-string spellings, and a to_wire/"
-        "from_wire round-trip all produce the same content hash"
-    )
-
-    def probes(self, spec: RunSpec) -> list[RunSpec]:
-        return []  # pure spec algebra; nothing to execute
-
-    def check(self, spec, results, execute) -> str | None:
-        from repro.core.api import Arch, SimConfig
-
-        reference = spec.content_hash()
-        round_tripped = RunSpec.from_wire(
-            json.loads(canonical_json(spec.to_wire()))
-        )
-        if round_tripped.content_hash() != reference:
-            return "to_wire/from_wire round-trip changed the content hash"
-        typed_arch = dataclasses.replace(
-            spec, architecture=Arch.coerce(spec.architecture)
-        )
-        if typed_arch.content_hash() != reference:
-            return "spelling the architecture as an Arch member changed the hash"
-        if spec.architecture == "dvsync" and spec.dvsync is None:
-            # The SimConfig shorthand must build the same spec the direct
-            # buffer_count spelling describes.
-            buffers, dvsync = SimConfig(
-                buffer_count=spec.buffer_count
-            ).normalize(spec.architecture)
-            via_config = dataclasses.replace(
-                spec, buffer_count=buffers, dvsync=dvsync
-            )
-            if spec.buffer_count is None:
-                if via_config.content_hash() != reference:
-                    return "SimConfig.normalize changed an all-default dvsync hash"
-        return None
-
-
 class CacheRoundTrip(Relation):
     """Results survive the serializer and the on-disk cache byte-exactly."""
 
@@ -406,7 +362,6 @@ RELATIONS: tuple[Relation, ...] = (
     EngineParity(),
     SeedDeterminism(),
     ObserverNeutrality(),
-    SpellingNeutrality(),
     CacheRoundTrip(),
     DropsNotWorse(),
     ContentOrder(),

@@ -2,14 +2,6 @@
 
 from repro.trace import schema
 from repro.trace.analyze import TraceAnalysis, analyze, decoupling_lead_ms
-from repro.trace.format import (
-    load_frame_trace,
-    load_trace,
-    save_frame_trace,
-    save_trace,
-    trace_from_dict,
-    trace_to_dict,
-)
 from repro.trace.record import CounterSample, Instant, Span, Trace, record_run
 from repro.trace.render_ascii import render_queue_depth, render_timeline
 
@@ -18,13 +10,6 @@ __all__ = [
     "TraceAnalysis",
     "analyze",
     "decoupling_lead_ms",
-    # deprecated shims (use repro.trace.schema)
-    "load_frame_trace",
-    "load_trace",
-    "save_frame_trace",
-    "save_trace",
-    "trace_from_dict",
-    "trace_to_dict",
     "CounterSample",
     "Instant",
     "Span",

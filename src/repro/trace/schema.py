@@ -1,18 +1,14 @@
 """Versioned serialization schema for traces — the one save/load seam.
 
-Historically ``repro.trace.format`` grew four parallel names
-(``save_trace``/``save_frame_trace``, ``trace_to_dict``/``trace_from_dict``);
-this module consolidates them behind a single versioned envelope::
+Both trace flavors share a single versioned envelope::
 
     {"version": 1, "kind": "event-trace" | "frame-trace", ...}
 
 :func:`save` / :func:`load` and :func:`to_payload` / :func:`from_payload`
-dispatch on the object (or the envelope's ``kind``), so callers no longer
-pick a function per trace flavor. The old names remain importable from
-``repro.trace.format`` as :class:`DeprecationWarning` shims.
+dispatch on the object (or the envelope's ``kind``), so callers never pick
+a function per trace flavor.
 
-``SCHEMA_VERSION`` covers the envelope itself; payloads written by the
-legacy functions (version 1, same layout) load unchanged.
+``SCHEMA_VERSION`` covers the envelope itself.
 """
 
 from __future__ import annotations

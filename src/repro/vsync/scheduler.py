@@ -29,19 +29,13 @@ class VSyncScheduler(SchedulerBase):
         self,
         driver: ScenarioDriver,
         device: DeviceProfile,
-        buffer_count: "int | None" = None,
+        buffer_count: int | None = None,
         *,
         offsets: VsyncOffsets | None = None,
         sim: Simulator | None = None,
         telemetry=None,
         verify=None,
     ) -> None:
-        # Accept a typed SimConfig where an int buffer count is expected.
-        if buffer_count is not None and not isinstance(buffer_count, int):
-            from repro.core.api import Arch, SimConfig
-
-            if isinstance(buffer_count, SimConfig):
-                buffer_count, _ = buffer_count.normalize(Arch.VSYNC)
         super().__init__(
             driver,
             device,

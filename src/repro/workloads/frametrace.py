@@ -71,7 +71,7 @@ class FrameTrace:
 
     # ---------------------------------------------------------- serialization
     def to_dict(self) -> dict:
-        """Plain-dict form for JSON round-tripping (see repro.trace.format)."""
+        """Plain-dict form for JSON round-tripping (see repro.trace.schema)."""
         return {
             "name": self.name,
             "refresh_hz": self.refresh_hz,

@@ -1,4 +1,4 @@
-"""The typed simulation API: Arch, SimConfig, and the legacy-spelling shims."""
+"""The typed simulation API: Arch and SimConfig."""
 
 from __future__ import annotations
 
@@ -71,71 +71,28 @@ def test_simconfig_rejects_conflicting_spellings():
         SimConfig(buffer_count="four")
 
 
-# ------------------------------------------------------- deprecation shims
-def test_legacy_int_config_still_works_with_a_warning():
-    with pytest.deprecated_call(match="SimConfig\\(buffer_count=...\\)"):
-        coerced = SimConfig.coerce(4)
-    assert coerced == SimConfig(buffer_count=4)
-
-
-def test_legacy_dvsync_config_still_works_with_a_warning():
-    config = DVSyncConfig(buffer_count=6, prerender_limit=3)
-    with pytest.deprecated_call(match="SimConfig\\(dvsync=...\\)"):
-        coerced = SimConfig.coerce(config)
-    assert coerced == SimConfig(dvsync=config)
-
-
-def test_coerce_passthrough_and_rejection():
-    cfg = SimConfig(buffer_count=2)
-    assert SimConfig.coerce(cfg) is cfg
-    assert SimConfig.coerce(None) == SimConfig()
-    with pytest.raises(ConfigurationError, match="config must be"):
-        SimConfig.coerce("4 buffers")
-
-
-def test_simulate_rejects_knobs_given_twice():
-    from repro import simulate
-    from repro.workloads.scenarios import Scenario
-
-    scenario = Scenario(
-        name="api-merge",
-        description="knob-merge conflict case",
-        refresh_hz=60,
-        target_vsync_fdps=3.0,
-        duration_ms=100,
-    )
-    with pytest.raises(ConfigurationError, match="pass it once"):
-        simulate(
-            scenario,
-            PIXEL_5,
-            architecture=Arch.VSYNC,
-            config=SimConfig(seed=1),
-            seed=2,
-        )
-
-
 # ------------------------------------------------------ content-hash parity
 def test_old_and_new_spellings_hash_identically():
     """Typed spellings are pure surface: the content address cannot move.
 
-    A cache warmed by code using ``architecture="dvsync"`` + ``config=4``
-    must keep hitting when callers migrate to ``Arch.DVSYNC`` +
-    ``SimConfig(buffer_count=4)``.
+    A spec spelled with wire strings (``architecture="dvsync"`` and a raw
+    buffer count or ``DVSyncConfig``) must share its cache entry with the
+    one ``Arch.DVSYNC`` + ``SimConfig(buffer_count=4)`` describes.
     """
     driver = _driver()
-    with pytest.deprecated_call():
-        legacy_cfg = SimConfig.coerce(4)
     typed_cfg = SimConfig(buffer_count=4)
+    wire_knobs = {
+        "vsync": {"buffer_count": 4},
+        "dvsync": {"dvsync": DVSyncConfig(buffer_count=4)},
+    }
 
     for arch_old, arch_new in (("vsync", Arch.VSYNC), ("dvsync", Arch.DVSYNC)):
-        old_buffers, old_dvsync = legacy_cfg.normalize(arch_old)
         new_buffers, new_dvsync = typed_cfg.normalize(arch_new)
         old_spec = RunSpec(
             driver=driver,
             device=PIXEL_5,
             architecture=arch_old,
-            buffer_count=old_buffers,
-            dvsync=old_dvsync,
+            **wire_knobs[arch_old],
         )
         new_spec = RunSpec(
             driver=driver,
@@ -154,15 +111,6 @@ def test_arch_member_lands_as_wire_string_on_the_spec():
     assert spec.content_hash() == dataclasses.replace(
         spec, architecture="dvsync"
     ).content_hash()
-
-
-def test_simconfig_engine_member_is_normalized():
-    # engine accepts an enum-like object carrying .value, mirroring RunSpec.
-    class EngineLike:
-        value = "event"
-
-    cfg = SimConfig(engine=EngineLike())
-    assert cfg.engine == "event"
 
 
 # ----------------------------------------------------------------- exports

@@ -2,21 +2,24 @@
 
 import pytest
 
+from repro import SimConfig, simulate
 from repro.core.config import DVSyncConfig
 from repro.display.device import PIXEL_5
 from repro.errors import ConfigurationError
-from repro.experiments.runner import compare_scenario, run_driver
+from repro.experiments.runner import compare_scenario
 from repro.testing import light_params, make_animation
 from repro.workloads.scenarios import Scenario
 
 
 def test_run_driver_architecture_dispatch():
-    vsync_result = run_driver(
-        make_animation(light_params(), "run-a"), PIXEL_5, "vsync", buffer_count=3
+    """simulate() runs a live driver under the requested architecture."""
+    vsync_result = simulate(
+        make_animation(light_params(), "run-a"), PIXEL_5,
+        architecture="vsync", config=SimConfig(buffer_count=3),
     )
-    dvsync_result = run_driver(
-        make_animation(light_params(), "run-b"), PIXEL_5, "dvsync",
-        dvsync_config=DVSyncConfig(buffer_count=4),
+    dvsync_result = simulate(
+        make_animation(light_params(), "run-b"), PIXEL_5,
+        config=SimConfig(dvsync=DVSyncConfig(buffer_count=4)),
     )
     assert vsync_result.scheduler == "vsync"
     assert dvsync_result.scheduler == "dvsync"
@@ -24,7 +27,7 @@ def test_run_driver_architecture_dispatch():
 
 def test_run_driver_unknown_architecture():
     with pytest.raises(ConfigurationError, match="unknown architecture 'gsync'"):
-        run_driver(make_animation(light_params(), "run-c"), PIXEL_5, "gsync")
+        simulate(make_animation(light_params(), "run-c"), PIXEL_5, architecture="gsync")
 
 
 def test_compare_scenario_pairs_seeds():

@@ -13,6 +13,8 @@ from repro.exec.executor import execute_spec
 from repro.exec.serialize import result_to_wire
 from repro.exec.spec import DriverSpec, RunSpec, canonical_json
 from repro.fastpath.engine import (
+    fastpath_attempt,
+    fastpath_driver_attempt,
     get_default_engine,
     reset_default_engine,
     resolve_engine,
@@ -86,6 +88,54 @@ def test_process_wide_verify_switch_blocks_fastpath():
     # The suite-wide strict fixture keeps the switch armed in this module.
     reason = spec_ineligibility(_burst_spec(verify=False))
     assert reason is not None and "verification switch" in reason
+
+
+#: ``(telemetry switch, verify switch, live-driver (telemetry, verify),
+#: spec (telemetry, verify), dvsync config, replayable)``. A live driver's
+#: ``None`` defers to the switch; a spec's ``False`` does the same.
+_VERDICT_CASES = {
+    "switches-off": (False, False, (None, None), (False, False), None, True),
+    "telemetry-on": (False, False, (True, False), (True, False), None, False),
+    "telemetry-off": (False, False, (False, False), (False, False), None, True),
+    "telemetry-switch": (True, False, (None, False), (False, False), None, False),
+    "verify-on": (False, False, (False, True), (False, True), None, False),
+    "verify-off": (False, False, (False, False), (False, False), None, True),
+    "verify-switch": (False, True, (False, None), (False, False), None, False),
+    "dvsync-disabled": (
+        False, False, (False, False), (False, False),
+        DVSyncConfig(buffer_count=4, enabled=False), False,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_VERDICT_CASES))
+def test_live_driver_and_spec_paths_agree_on_eligibility(case):
+    from repro.fastpath.profile import clear_profile_cache
+    from repro.telemetry import runtime as telemetry_runtime
+    from repro.verify import runtime as verify_runtime
+
+    telemetry_switch, verify_switch, live, flags, dvsync, replayable = (
+        _VERDICT_CASES[case]
+    )
+    telemetry_runtime.set_enabled(telemetry_switch)
+    verify_runtime.set_enabled(verify_switch)
+    spec = _burst_spec(telemetry=flags[0], verify=flags[1])
+    if dvsync is not None:
+        spec = dataclasses.replace(
+            spec, architecture="dvsync", buffer_count=None, dvsync=dvsync
+        )
+    clear_profile_cache()
+    spec_result, _, _ = fastpath_attempt(spec)
+    driver_result, _ = fastpath_driver_attempt(
+        spec.driver.build(), spec.device, spec.architecture,
+        spec.buffer_count, spec.dvsync, *live,
+    )
+    assert (spec_result is not None) is replayable
+    assert (driver_result is not None) is replayable
+    if replayable:
+        assert canonical_json(result_to_wire(spec_result)) == canonical_json(
+            result_to_wire(driver_result)
+        )
 
 
 # ---------------------------------------------------------------- fallback

@@ -146,7 +146,7 @@ def test_drops_not_worse_baseline_probe_is_the_vsync_twin():
 def test_checks_pass_on_a_healthy_spec(execute):
     spec = _dvsync_spec()
     for relation in relations_by_name(
-        ["seed-determinism", "spelling-neutral", "cache-round-trip", "content-order"]
+        ["seed-determinism", "cache-round-trip", "content-order"]
     ):
         assert relation.applies(spec)
         results = [execute(probe) for probe in relation.probes(spec)]

@@ -3,7 +3,7 @@
 import pytest
 
 import repro
-from repro import PIXEL_5, Scenario, simulate
+from repro import PIXEL_5, Scenario, SimConfig, simulate
 from repro.core.config import DVSyncConfig
 from repro.errors import ConfigurationError
 from repro.telemetry.session import Telemetry
@@ -32,30 +32,24 @@ def test_scenario_defaults_to_dvsync():
 
 
 def test_scenario_vsync_with_buffer_count():
-    with pytest.deprecated_call(match="SimConfig"):
-        result = simulate(make_scenario(), PIXEL_5, architecture="vsync", config=3)
+    result = simulate(
+        make_scenario(), PIXEL_5, architecture="vsync",
+        config=SimConfig(buffer_count=3),
+    )
     assert result.scheduler == "vsync"
     assert result.buffer_count == 3
 
 
 def test_scenario_dvsync_config_object():
-    config = DVSyncConfig(buffer_count=5)
-    with pytest.deprecated_call(match="SimConfig"):
-        result = simulate(make_scenario(), PIXEL_5, config=config)
-    assert result.buffer_count == 5
-
-
-def test_scenario_int_config_means_dvsync_buffers():
-    with pytest.deprecated_call(match="SimConfig"):
-        result = simulate(make_scenario(), PIXEL_5, config=5)
-    assert result.scheduler == "dvsync"
+    config = SimConfig(dvsync=DVSyncConfig(buffer_count=5))
+    result = simulate(make_scenario(), PIXEL_5, config=config)
     assert result.buffer_count == 5
 
 
 def test_seed_gives_independent_repetitions():
-    first = simulate(make_scenario(), PIXEL_5, seed=0)
-    second = simulate(make_scenario(), PIXEL_5, seed=1)
-    identical = simulate(make_scenario(), PIXEL_5, seed=0)
+    first = simulate(make_scenario(), PIXEL_5, config=SimConfig(seed=0))
+    second = simulate(make_scenario(), PIXEL_5, config=SimConfig(seed=1))
+    identical = simulate(make_scenario(), PIXEL_5, config=SimConfig(seed=0))
     assert [f.workload for f in first.frames] == [
         f.workload for f in identical.frames
     ]
@@ -66,8 +60,9 @@ def test_seed_gives_independent_repetitions():
 
 def test_live_driver_path(pixel5):
     driver = make_animation(light_params(), "facade-live")
-    with pytest.deprecated_call(match="SimConfig"):
-        result = simulate(driver, pixel5, architecture="vsync", config=3)
+    result = simulate(
+        driver, pixel5, architecture="vsync", config=SimConfig(buffer_count=3)
+    )
     assert result.scenario == "facade-live"
     assert result.scheduler == "vsync"
 
@@ -94,7 +89,13 @@ def test_scenario_rejects_session_object():
 def test_seed_rejected_for_live_driver(pixel5):
     driver = make_animation(light_params(), "facade-seed")
     with pytest.raises(ConfigurationError, match="seed"):
-        simulate(driver, pixel5, seed=1)
+        simulate(driver, pixel5, config=SimConfig(seed=1))
+
+
+def test_timeout_rejected_for_live_driver(pixel5):
+    driver = make_animation(light_params(), "facade-timeout")
+    with pytest.raises(ConfigurationError, match="timeout_s"):
+        simulate(driver, pixel5, config=SimConfig(timeout_s=5.0))
 
 
 def test_unknown_architecture_rejected():
@@ -103,20 +104,20 @@ def test_unknown_architecture_rejected():
 
 
 def test_dvsync_config_rejected_for_vsync():
-    with pytest.deprecated_call(match="SimConfig"), pytest.raises(
-        ConfigurationError, match="DVSyncConfig"
-    ):
+    with pytest.raises(ConfigurationError, match="DVSyncConfig"):
         simulate(
             make_scenario(),
             PIXEL_5,
             architecture="vsync",
-            config=DVSyncConfig(buffer_count=4),
+            config=SimConfig(dvsync=DVSyncConfig(buffer_count=4)),
         )
 
 
 def test_bad_config_type_rejected():
-    with pytest.raises(ConfigurationError, match="config"):
+    with pytest.raises(ConfigurationError, match="config must be a SimConfig"):
         simulate(make_scenario(), PIXEL_5, config="four")
+    with pytest.raises(ConfigurationError, match="config must be a SimConfig"):
+        simulate(make_scenario(), PIXEL_5, config=4)
 
 
 def test_bad_scenario_type_rejected():

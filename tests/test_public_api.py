@@ -63,3 +63,52 @@ def test_public_functions_have_docstrings():
             attr = getattr(cls, attr_name)
             if callable(attr):
                 assert attr.__doc__, f"{cls.__name__}.{attr_name} lacks a docstring"
+
+
+def test_experiments_all_is_pinned():
+    import repro.experiments
+
+    assert sorted(repro.experiments.__all__) == [
+        "DEFAULT_RUNS",
+        "ScenarioComparison",
+        "add_comparison_arms",
+        "compare_scenario",
+        "comparison_from_study",
+        "scenario_spec",
+    ]
+
+
+def test_trace_all_is_pinned():
+    import repro.trace
+
+    assert sorted(repro.trace.__all__) == [
+        "CounterSample",
+        "Instant",
+        "Span",
+        "Trace",
+        "TraceAnalysis",
+        "analyze",
+        "decoupling_lead_ms",
+        "record_run",
+        "render_queue_depth",
+        "render_timeline",
+        "schema",
+    ]
+
+
+def test_simulate_signature_is_pinned():
+    import inspect
+
+    parameters = inspect.signature(repro.simulate).parameters
+    assert list(parameters) == [
+        "scenario",
+        "device",
+        "architecture",
+        "config",
+        "telemetry",
+        "verify",
+    ]
+    assert all(
+        parameters[name].kind is inspect.Parameter.KEYWORD_ONLY
+        for name in ("architecture", "config", "telemetry", "verify")
+    )

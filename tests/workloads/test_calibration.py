@@ -11,9 +11,8 @@ import statistics
 
 import pytest
 
-from repro.core.config import DVSyncConfig
+from repro import SimConfig, simulate
 from repro.display.device import MATE_60_PRO, PIXEL_5
-from repro.experiments.runner import run_driver
 from repro.metrics.fdps import fdps
 from repro.workloads.scenarios import Scenario
 
@@ -23,13 +22,12 @@ RUNS = 3
 def measure(scenario, device, architecture, buffers):
     values = []
     for repetition in range(RUNS):
-        driver = scenario.build_driver(repetition)
-        if architecture == "vsync":
-            result = run_driver(driver, device, "vsync", buffer_count=buffers)
-        else:
-            result = run_driver(
-                driver, device, "dvsync", dvsync_config=DVSyncConfig(buffer_count=buffers)
-            )
+        result = simulate(
+            scenario.build_driver(repetition),
+            device,
+            architecture=architecture,
+            config=SimConfig(buffer_count=buffers),
+        )
         values.append(fdps(result))
     return statistics.fmean(values)
 
