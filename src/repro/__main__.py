@@ -416,7 +416,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"study: {registry.last_union_stats.describe()}")
         if args.cache_stats:
             print(
-                f"dedup: {executor.stats.deduped} specs collapsed by "
+                f"dedup: {executor.stats.deduplicated} specs collapsed by "
                 f"content hash within batches"
             )
         if executor.cache is not None:

@@ -14,7 +14,10 @@ with seeded-deterministic exponential backoff, a dead worker
 and the culprit is identified by isolation rather than guessed — and a
 circuit breaker degrades the executor to the in-process backend after
 repeated pool failures, mirroring the degradation watchdog's D-VSync→VSync
-fallback. Failed specs become structured
+fallback. Both backends run one wave loop (``Executor._execute_batch``) and
+one exception → envelope function (:func:`_attempt`): the in-process
+backend is the loop's width-1 case with no pool, and a tripped breaker
+sends the remaining waves down that same path. Failed specs become structured
 :class:`~repro.exec.supervisor.RunFailure` records: :meth:`Executor.map_outcome`
 always returns partial results plus failures, and :meth:`Executor.map`
 applies the ``fail-fast`` (raise :class:`~repro.errors.BatchExecutionError`)
@@ -58,7 +61,6 @@ from repro.exec.serialize import (
 )
 from repro.exec.spec import RunSpec
 from repro.exec.supervisor import (
-    FAILURE_KINDS,
     NON_QUARANTINE_KINDS,
     BatchOutcome,
     CircuitBreaker,
@@ -147,32 +149,38 @@ def _oom_message(memory_mb: int | None) -> str:
     return "run exhausted available memory"
 
 
-def _pool_worker(wire_spec: dict) -> dict:
-    """Process-pool entry point: wire spec in, tagged envelope out.
+#: The in-process attempt's stand-in for :func:`address_space_cap`.
+_UNCAPPED = contextlib.nullcontext()
 
-    Exceptions never cross the pool boundary raw — a spec that raises comes
-    back as an error envelope with its taxonomy kind, so the supervisor can
-    classify and retry without the pool protocol ever seeing an unpicklable
-    exception. ``BaseException`` (SIGKILL, interpreter death) still breaks
-    the pool; that path is the supervisor's crash-containment job.
 
-    A spec budget's ``memory_mb`` is applied here as ``RLIMIT_AS`` for the
-    duration of the run (restored afterwards — workers are reused), turning
-    a runaway allocation into a clean ``MemoryError`` → kind ``oom`` instead
-    of an OS OOM-kill that would break the whole pool. Budget trips
-    (``BudgetExceededError``) and ooms carry no traceback: their envelopes
-    are deterministic functions of spec + budget, byte-identical across
-    backends and engines.
+def _attempt(spec: RunSpec | dict) -> dict:
+    """Run one attempt of a spec: a tagged envelope out, never an exception.
+
+    Both backends run every attempt through here, so a failure's envelope,
+    traceback included, is byte-identical whichever backend ran it. A spec
+    that raises comes back as an error envelope with its taxonomy kind.
+
+    A pool worker passes the spec's wire form: it is decoded inside the
+    envelope, and a spec budget's ``memory_mb`` is applied as ``RLIMIT_AS``
+    for the duration of the run (restored afterwards — workers are reused),
+    turning a runaway allocation into a clean ``MemoryError`` → kind ``oom``
+    instead of an OS OOM-kill that would break the whole pool. In-process,
+    ``memory_mb`` is NOT applied — an RLIMIT_AS clamp there would endanger
+    the host process — but a genuine MemoryError still maps to the taxonomy.
+    Budget trips (``BudgetExceededError``) and ooms carry no traceback:
+    their envelopes are deterministic functions of spec + budget,
+    byte-identical across backends and engines.
     """
     started = time.perf_counter()
+    in_pool = isinstance(spec, dict)
     memory_mb = None
     try:
-        spec = RunSpec.from_wire(wire_spec)
+        if in_pool:
+            spec = RunSpec.from_wire(spec)
         if spec.budget is not None:
             memory_mb = spec.budget.memory_mb
-        with address_space_cap(memory_mb):
-            result = execute_spec(spec)
-            wire = result_to_wire(result)
+        with address_space_cap(memory_mb) if in_pool else _UNCAPPED:
+            wire = result_to_wire(execute_spec(spec))
         return ok_envelope(wire, time.perf_counter() - started)
     except BudgetExceededError as exc:
         return error_envelope("budget", str(exc), None)
@@ -186,6 +194,18 @@ def _pool_worker(wire_spec: dict) -> dict:
         )
 
 
+def _pool_worker(wire_spec: dict) -> dict:
+    """Process-pool entry point: wire spec in, tagged envelope out.
+
+    Exceptions never cross the pool boundary raw (see :func:`_attempt`), so
+    the supervisor can classify and retry without the pool protocol ever
+    seeing an unpicklable exception. ``BaseException`` (SIGKILL, interpreter
+    death) still breaks the pool; that path is the supervisor's
+    crash-containment job.
+    """
+    return _attempt(wire_spec)
+
+
 @dataclasses.dataclass
 class ExecStats:
     """Cumulative executor observability counters."""
@@ -193,6 +213,8 @@ class ExecStats:
     runs_executed: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
+    # Submissions whose identical twin (same content hash, across any cells
+    # of any studies in the batch) already ran or was queued in the batch.
     deduplicated: int = 0
     batches: int = 0
     run_seconds: float = 0.0
@@ -225,17 +247,6 @@ class ExecStats:
     @property
     def total_requests(self) -> int:
         return self.runs_executed + self.cache_hits + self.deduplicated
-
-    @property
-    def deduped(self) -> int:
-        """Specs collapsed by content hash within a batch before execution.
-
-        An alias of :attr:`deduplicated` — the name the study layer and
-        ``--cache-stats`` report, counting every submission whose identical
-        twin (same content hash, across any cells of any studies in the
-        batch) already ran or was already queued in the same batch.
-        """
-        return self.deduplicated
 
     def describe(self) -> str:
         """One-line summary for reports and the CLI."""
@@ -279,18 +290,6 @@ class _Task:
         self.attempts = 0
         self.suspect = False  # was in flight when a pool broke
         self.resume_at = 0.0  # monotonic instant the next attempt may start
-
-
-class _WaveOutcome:
-    """What one submission wave of the process backend produced."""
-
-    __slots__ = ("retry", "suspects", "broke", "stuck")
-
-    def __init__(self) -> None:
-        self.retry: list[_Task] = []
-        self.suspects: list[_Task] = []
-        self.broke = False  # the pool died mid-wave
-        self.stuck = False  # a timed-out worker is still occupying a slot
 
 
 class Executor:
@@ -414,8 +413,6 @@ class Executor:
     def _respawn_pool(self, terminate: bool = False) -> None:
         """Discard the current pool (terminating its workers if asked)."""
         pool, self._pool = self._pool, None
-        if pool is None:
-            return
         if terminate:
             # A timed-out or poisoned worker can occupy its slot arbitrarily
             # long; terminate() reclaims it so the respawned pool starts
@@ -559,9 +556,7 @@ class Executor:
                 for index in indices:
                     index_failures[index] = failure
                 continue
-            first = results[indices[0]]
-            if first is not None:  # pragma: no branch - every key resolves one way
-                telemetry_runtime.collect(first.telemetry)
+            telemetry_runtime.collect(results[indices[0]].telemetry)
 
         self.last_failures = failures
         return BatchOutcome(
@@ -587,14 +582,6 @@ class Executor:
     def _note_governor(self, name: str, amount: float = 1.0) -> None:
         if telemetry_runtime.enabled():
             telemetry_runtime.note_governor(name, amount)
-
-    def _execute_batch(self, tasks, on_success) -> dict[str, RunFailure]:
-        failures: dict[str, RunFailure] = {}
-        if self.backend == "process" and self.jobs > 1 and not self.breaker.tripped:
-            self._process_supervised(tasks, failures, on_success)
-        else:
-            self._inprocess_supervised(tasks, failures, on_success)
-        return failures
 
     def _settle_failure_or_retry(
         self,
@@ -668,32 +655,32 @@ class Executor:
     def _settle_envelope(self, task, envelope, failures, on_success) -> bool:
         """Classify one completed attempt; True means a retry is scheduled."""
         task.attempts += 1
-        traceback_text = None
-        if isinstance(envelope, dict) and envelope.get("ok") is True:
-            try:
-                on_success(task, envelope["result"], envelope["seconds"])
-                return False
-            except (KeyError, TypeError, ValueError) as exc:
-                kind = "cache-corrupt"
-                message = f"result wire form rejected: {exc}"
-        elif isinstance(envelope, dict) and envelope.get("ok") is False:
-            kind = envelope.get("kind", "crash")
-            if kind not in FAILURE_KINDS:
-                kind = "crash"
-            message = envelope.get("message", "worker reported an error")
-            traceback_text = envelope.get("traceback")
-        else:
-            kind = "cache-corrupt"
-            message = f"malformed worker envelope: {envelope!r}"
-        return self._settle_failure_or_retry(
-            task, kind, message, traceback_text, failures
-        )
-
-    @staticmethod
-    def _sleep_until_resume(task: _Task) -> None:
-        delay = task.resume_at - time.monotonic()
-        if delay > 0:
-            time.sleep(delay)
+        if not envelope["ok"]:
+            return self._settle_failure_or_retry(
+                task,
+                envelope["kind"],
+                envelope["message"],
+                envelope["traceback"],
+                failures,
+            )
+        if task.timeout_s is not None and envelope["seconds"] > task.timeout_s:
+            # In-process runs cannot be preempted; enforce the deadline
+            # post-hoc and discard the overdue result so both backends
+            # report the same taxonomy.
+            return self._settle_failure_or_retry(
+                task, "timeout", self._timeout_message(task), None, failures
+            )
+        try:
+            on_success(task, envelope["result"], envelope["seconds"])
+            return False
+        except (KeyError, TypeError, ValueError) as exc:
+            return self._settle_failure_or_retry(
+                task,
+                "cache-corrupt",
+                f"result wire form rejected: {exc}",
+                None,
+                failures,
+            )
 
     @staticmethod
     def _timeout_message(task: _Task) -> str:
@@ -701,18 +688,68 @@ class Executor:
         # byte-identical across reruns with the same retry seed.
         return f"run exceeded its {task.timeout_s:g}s deadline"
 
-    # ----------------------------------------------- process-backend engine
-    def _process_supervised(self, tasks, failures, on_success) -> None:
+    # ------------------------------------------------------ the wave loop
+    def _execute_batch(self, tasks, on_success) -> dict[str, RunFailure]:
+        """Supervise *tasks* in waves until each ends as a result or failure.
+
+        A pooled wave submits to the process pool, at most ``jobs`` futures
+        in flight. The in-process backend is the same loop at width one with
+        no pool: each attempt runs on the task's own spec and settles
+        synchronously inside ``dispatch()``. A retry joins the next wave.
+        """
+        failures: dict[str, RunFailure] = {}
         pending: list[_Task] = list(tasks)
         suspects: collections.deque[_Task] = collections.deque()
+
+        def dispatch() -> None:
+            # In-flight submissions are capped at the pool width, so a
+            # submitted task holds a worker slot immediately: its deadline
+            # clock starts when it can actually execute, never while queued
+            # behind wave siblings — the same semantics as the in-process
+            # backend, which measures only execution time.
+            nonlocal broke
+            while queue and len(not_done) < self.jobs:
+                if broke or stuck:
+                    # The pool needs a respawn; hand unsubmitted tasks back
+                    # untouched (no attempt charged) rather than queue them
+                    # behind a dead or occupied slot.
+                    retry.append(queue.popleft())
+                    continue
+                task = queue.popleft()
+                delay = task.resume_at - time.monotonic()
+                if delay > 0:
+                    time.sleep(delay)
+                if pool is None:
+                    envelope = _attempt(task.spec)
+                    if self._settle_envelope(task, envelope, failures, on_success):
+                        retry.append(task)
+                    continue
+                try:
+                    future = pool.submit(_pool_worker, task.wire)
+                except Exception:
+                    # The pool broke before this task ever ran: it is
+                    # innocent — requeue it and let the in-flight futures
+                    # identify the culprit.
+                    broke = True
+                    retry.append(task)
+                    continue
+                futures[future] = task
+                not_done.add(future)
+                if task.timeout_s is not None:
+                    deadlines[future] = time.monotonic() + task.timeout_s
+
         while pending or suspects:
-            if self.breaker.tripped:
+            pooled = (
+                self.backend == "process"
+                and self.jobs > 1
+                and not self.breaker.tripped
+            )
+            if not pooled:
                 # Degraded mode (the §4.5 fallback, applied to the harness):
                 # stop respawning pools. Unexonerated crash suspects are
                 # quarantined — re-running a potential worker-killer
                 # in-process would take the whole harness down with it.
                 for task in suspects:
-                    task.attempts = max(1, task.attempts)
                     # allow_retry=False: there is no pool left to retry on,
                     # and a scheduled-then-dropped retry would lose the spec
                     # without a result or a failure record.
@@ -726,10 +763,8 @@ class Executor:
                         allow_retry=False,
                     )
                 suspects.clear()
-                if pending:
-                    self._inprocess_supervised(pending, failures, on_success)
-                return
-            if pending:
+                wave, pending = pending, []
+            elif pending:
                 # Bounded admission: at most `admission` tasks enter a wave;
                 # the remainder waits under backpressure instead of fanning
                 # out an unbounded future set (and, on a broken pool, an
@@ -742,169 +777,84 @@ class Executor:
                 # Crash suspects run one per pool so a broken pool
                 # attributes the crash to exactly one spec.
                 wave = [suspects.popleft()]
-            outcome = self._run_process_wave(wave, failures, on_success)
-            if outcome.broke:
-                self.breaker.record_failure()
-            else:
-                self.breaker.record_success()
-            if outcome.broke or outcome.stuck:
-                self._respawn_pool(terminate=True)
-            if outcome.broke and len(outcome.suspects) == 1:
-                # Exactly one spec was in flight when the pool died — that
-                # is the culprit; charge the crash to it.
-                task = outcome.suspects[0]
-                task.suspect = True
-                task.attempts += 1
-                if self._settle_failure_or_retry(
-                    task,
-                    "crash",
-                    "worker process died while executing this spec "
-                    "(killed or crashed outside Python)",
-                    None,
-                    failures,
-                ):
-                    suspects.append(task)
-            else:
-                for task in outcome.suspects:
-                    task.suspect = True
-                    suspects.append(task)
-            for task in outcome.retry:
-                if task.suspect:
-                    suspects.append(task)
-                else:
-                    pending.append(task)
-
-    def _run_process_wave(self, wave, failures, on_success) -> _WaveOutcome:
-        outcome = _WaveOutcome()
-        futures: dict[concurrent.futures.Future, _Task] = {}
-        deadlines: dict[concurrent.futures.Future, float] = {}
-        pool = self._ensure_pool()
-        queue: collections.deque[_Task] = collections.deque(wave)
-        not_done: set[concurrent.futures.Future] = set()
-
-        def dispatch() -> None:
-            # In-flight submissions are capped at the pool width, so a
-            # submitted task holds a worker slot immediately: its deadline
-            # clock starts when it can actually execute, never while queued
-            # behind wave siblings — the same semantics as the in-process
-            # backend, which measures only execution time.
-            while queue and len(not_done) < self.jobs:
-                if outcome.broke or outcome.stuck:
-                    # The pool needs a respawn; hand unsubmitted tasks back
-                    # untouched (no attempt charged) rather than queue them
-                    # behind a dead or occupied slot.
-                    outcome.retry.append(queue.popleft())
-                    continue
-                task = queue.popleft()
-                self._sleep_until_resume(task)
-                try:
-                    future = pool.submit(_pool_worker, task.wire)
-                except Exception:
-                    # The pool broke before this task ever ran: it is
-                    # innocent — requeue it and let the in-flight futures
-                    # identify the culprit.
-                    outcome.broke = True
-                    outcome.retry.append(task)
-                    continue
-                futures[future] = task
-                not_done.add(future)
-                if task.timeout_s is not None:
-                    deadlines[future] = time.monotonic() + task.timeout_s
-
-        dispatch()
-        while not_done:
-            wait_s = None
-            active = [deadlines[f] for f in not_done if f in deadlines]
-            if active:
-                wait_s = max(0.0, min(active) - time.monotonic())
-            done, not_done = concurrent.futures.wait(
-                not_done, timeout=wait_s,
-                return_when=concurrent.futures.FIRST_COMPLETED,
-            )
-            for future in done:
-                task = futures[future]
-                try:
-                    envelope = future.result()
-                except concurrent.futures.BrokenExecutor:
-                    outcome.broke = True
-                    outcome.suspects.append(task)
-                    continue
-                except concurrent.futures.CancelledError:
-                    outcome.broke = True
-                    outcome.suspects.append(task)
-                    continue
-                if self._settle_envelope(task, envelope, failures, on_success):
-                    outcome.retry.append(task)
-            now = time.monotonic()
-            for future in [
-                f for f in not_done if f in deadlines and deadlines[f] <= now
-            ]:
-                not_done.discard(future)
-                task = futures[future]
-                if not future.cancel():
-                    # The worker is mid-run and cannot be preempted; the
-                    # caller terminates and respawns the pool to reclaim
-                    # the slot.
-                    outcome.stuck = True
-                task.attempts += 1
-                if self._settle_failure_or_retry(
-                    task, "timeout", self._timeout_message(task), None, failures
-                ):
-                    outcome.retry.append(task)
+            pool = self._ensure_pool() if pooled else None
+            queue = collections.deque(wave)
+            futures: dict[concurrent.futures.Future, _Task] = {}
+            deadlines: dict[concurrent.futures.Future, float] = {}
+            not_done: set[concurrent.futures.Future] = set()
+            retry: list[_Task] = []
+            broken: list[_Task] = []  # in flight when the pool died
+            broke = False  # the pool died mid-wave
+            stuck = False  # a timed-out worker is still occupying a slot
             dispatch()
-        return outcome
-
-    # --------------------------------------------- in-process backend engine
-    def _inprocess_supervised(self, tasks, failures, on_success) -> None:
-        for task in tasks:
-            while True:
-                self._sleep_until_resume(task)
-                started = time.perf_counter()
-                envelope = None
-                try:
-                    result = execute_spec(task.spec)
-                    seconds = time.perf_counter() - started
-                    envelope = ok_envelope(result_to_wire(result), seconds)
-                except BudgetExceededError as exc:
-                    # Same tracebackless envelope as the pool worker: a
-                    # budget trip's wire form is byte-identical across
-                    # backends. (memory_mb is NOT applied in-process — an
-                    # RLIMIT_AS clamp here would endanger the host process —
-                    # but a genuine MemoryError still maps to the taxonomy.)
-                    envelope = error_envelope("budget", str(exc), None)
-                except MemoryError:
-                    budget = task.spec.budget
-                    envelope = error_envelope(
-                        "oom",
-                        _oom_message(budget.memory_mb if budget else None),
-                        None,
-                    )
-                except ConfigurationError as exc:
-                    envelope = error_envelope(
-                        "config", str(exc), traceback.format_exc()
-                    )
-                except Exception as exc:
-                    envelope = error_envelope(
-                        "crash",
-                        f"{type(exc).__name__}: {exc}",
-                        traceback.format_exc(),
-                    )
-                if (
-                    envelope.get("ok")
-                    and task.timeout_s is not None
-                    and envelope["seconds"] > task.timeout_s
-                ):
-                    # In-process runs cannot be preempted; enforce the
-                    # deadline post-hoc and discard the overdue result so
-                    # both backends report the same taxonomy.
+            while not_done:
+                wait_s = None
+                active = [deadlines[f] for f in not_done if f in deadlines]
+                if active:
+                    wait_s = max(0.0, min(active) - time.monotonic())
+                done, not_done = concurrent.futures.wait(
+                    not_done, timeout=wait_s,
+                    return_when=concurrent.futures.FIRST_COMPLETED,
+                )
+                for future in done:
+                    task = futures[future]
+                    try:
+                        envelope = future.result()
+                    except concurrent.futures.BrokenExecutor:
+                        broke = True
+                        broken.append(task)
+                        continue
+                    if self._settle_envelope(task, envelope, failures, on_success):
+                        retry.append(task)
+                now = time.monotonic()
+                for future in [
+                    f for f in not_done if f in deadlines and deadlines[f] <= now
+                ]:
+                    not_done.discard(future)
+                    task = futures[future]
+                    if not future.cancel():
+                        # The worker is mid-run and cannot be preempted; the
+                        # loop terminates and respawns the pool to reclaim
+                        # the slot.
+                        stuck = True
                     task.attempts += 1
                     if self._settle_failure_or_retry(
                         task, "timeout", self._timeout_message(task), None, failures
                     ):
-                        continue
-                    break
-                if not self._settle_envelope(task, envelope, failures, on_success):
-                    break
+                        retry.append(task)
+                dispatch()
+            if pooled:
+                if broke:
+                    self.breaker.record_failure()
+                else:
+                    self.breaker.record_success()
+                if broke or stuck:
+                    self._respawn_pool(terminate=True)
+                if broke and len(broken) == 1:
+                    # Exactly one spec was in flight when the pool died —
+                    # that is the culprit; charge the crash to it.
+                    task = broken[0]
+                    task.suspect = True
+                    task.attempts += 1
+                    if self._settle_failure_or_retry(
+                        task,
+                        "crash",
+                        "worker process died while executing this spec "
+                        "(killed or crashed outside Python)",
+                        None,
+                        failures,
+                    ):
+                        suspects.append(task)
+                else:
+                    for task in broken:
+                        task.suspect = True
+                        suspects.append(task)
+            for task in retry:
+                if task.suspect:
+                    suspects.append(task)
+                else:
+                    pending.append(task)
+        return failures
 
 
 # ---------------------------------------------------------- default executor

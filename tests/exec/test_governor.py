@@ -201,24 +201,57 @@ def test_budget_trip_byte_identical_across_engines(verification_off):
 
 
 # ------------------------------------------------------- executor containment
-def test_budget_failure_identical_across_backends_and_never_retried():
-    spec = _storm("backend-parity", budget=ResourceBudget(max_events=40))
+def _chaos(name, mode, timeout_s=None, **params):
+    return RunSpec(
+        driver=DriverSpec.of(
+            "repro.exec.builders:chaos_driver", name=name, mode=mode, **params
+        ),
+        device=PIXEL_5,
+        architecture="vsync",
+        buffer_count=3,
+        timeout_s=timeout_s,
+    )
 
-    def run(backend):
-        with Executor(
-            jobs=2, backend=backend, policy="keep-going", retries=FAST_RETRY
-        ) as executor:
+
+@pytest.mark.parametrize(
+    "spec, kind, attempts, has_traceback",
+    [
+        (_storm("backend-parity", ResourceBudget(max_events=40)), "budget", 1, False),
+        (_chaos("backend-raise", "raise"), "crash", 2, True),
+        (_chaos("backend-config", "config"), "config", 1, True),
+        (
+            _chaos("backend-sleep", "sleep", timeout_s=0.05, delay_s=0.3),
+            "timeout",
+            2,
+            False,
+        ),
+    ],
+    ids=["budget", "raise", "config", "sleep"],
+)
+def test_budget_failure_identical_across_backends_and_never_retried(
+    spec, kind, attempts, has_traceback
+):
+    """Both backends record one failure byte for byte, tracebacks included.
+
+    Only the transient kinds (a crash, a blown deadline) are retried; a
+    budget trip is deterministic, so a retry would be waste.
+    """
+
+    def run(executor):
+        with executor:
             outcome = executor.map_outcome([spec])
-            assert executor.stats.quarantined == 0
-            assert executor.stats.budget_trips == 1
-            assert executor.stats.retries == 0
+            assert executor.stats.budget_trips == (kind == "budget")
+            assert executor.stats.retries == attempts - 1
+            assert executor.stats.quarantined == (kind in ("crash", "config"))
         (failure,) = outcome.failures
-        assert failure.kind == "budget"
-        assert failure.attempts == 1  # deterministic: a retry would be waste
-        assert failure.traceback is None
+        assert failure.kind == kind
+        assert failure.attempts == attempts
+        assert (failure.traceback is not None) == has_traceback
         return json.dumps(failure.to_wire(), sort_keys=True)
 
-    assert run("inprocess") == run("process")
+    options = dict(policy="keep-going", retries=FAST_RETRY)
+    inprocess = run(Executor(jobs=1, **options))
+    assert inprocess == run(Executor(jobs=2, backend="process", **options))
 
 
 def test_budget_failure_does_not_poison_the_unbudgeted_spec():

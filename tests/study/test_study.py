@@ -108,7 +108,7 @@ def test_whole_matrix_is_one_batch_with_dedup(executor):
     study.add(_spec("other"), arch="dvsync", rep=0)
     [result], stats = execute_studies([study], executor=executor)
     assert executor.stats.batches == 1
-    assert executor.stats.deduped == 1
+    assert executor.stats.deduplicated == 1
     assert stats.spec_cells == 3
     assert stats.unique_specs == 2
     assert stats.dedup_hits == 1
@@ -222,7 +222,7 @@ def test_composite_flattens_parts_into_one_batch(executor):
     assert len(composite) == 2
     merged = composite.run(executor=executor)
     assert executor.stats.batches == 1
-    assert executor.stats.deduped == 1
+    assert executor.stats.deduplicated == 1
     assert set(merged) == {"L", "R"}
     assert merged["L"] is not None
 
