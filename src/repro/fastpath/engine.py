@@ -5,7 +5,8 @@ demand is a deterministic function of time and nothing observes or perturbs
 the run from outside the scheduling rules. :func:`run_ineligibility` states
 the rules once; :func:`spec_ineligibility` adds the spec-only ones (faults,
 watchdog, start time). :func:`fastpath_attempt` is what the executor calls,
-and :func:`fastpath_driver_attempt` is its live-driver twin.
+and :func:`fastpath_driver_attempt` is its live-driver twin. Telemetry is
+computed from the finished run, so it never makes a run ineligible.
 
 The process-wide default engine (consulted by ``engine="auto"`` specs) comes
 from ``--engine`` on the CLI or the ``REPRO_ENGINE`` environment variable —
@@ -85,20 +86,13 @@ def _numpy_available() -> bool:
     return True
 
 
-def run_ineligibility(architecture: str, dvsync, telemetry, verify) -> str | None:
+def run_ineligibility(architecture: str, dvsync, verify) -> str | None:
     """The eligibility rules shared by spec runs and live-driver runs.
 
-    ``telemetry`` and ``verify`` are tri-state: ``None`` defers to the
-    process-wide switch, ``False`` declines, and anything else (``True``, a
-    live session or checker) observes the event loop.
+    ``verify`` is tri-state: ``None`` defers to the process-wide switch,
+    ``False`` declines, and anything else (``True``, a live checker)
+    observes the event loop.
     """
-    if telemetry is None:
-        from repro.telemetry import runtime as telemetry_runtime
-
-        if telemetry_runtime.enabled():
-            return "the process-wide telemetry switch is on (event-loop probes)"
-    elif telemetry is not False:
-        return "the run records a telemetry session over event-loop probes"
     if verify is None:
         from repro.verify import runtime as verify_runtime
 
@@ -126,12 +120,10 @@ def spec_ineligibility(spec: "RunSpec") -> str | None:
         return "the degradation watchdog observes live fault telemetry"
     if spec.start_time < 0:
         return "negative start_time (the event engine rejects it at schedule time)"
-    return run_ineligibility(
-        spec.architecture, spec.dvsync, spec.telemetry or None, spec.verify or None
-    )
+    return run_ineligibility(spec.architecture, spec.dvsync, spec.verify or None)
 
 
-def _replay(spec, driver, compiled) -> tuple["RunResult | None", str | None]:
+def _replay(spec, driver, compiled, telemetry) -> tuple["RunResult | None", str | None]:
     """Replay a compiled profile; ``(None, reason)`` when it cannot be."""
     if compiled is None:
         return None, "the driver is not trace-pure (no replay profile)"
@@ -139,7 +131,7 @@ def _replay(spec, driver, compiled) -> tuple["RunResult | None", str | None]:
         return None, "the driver's replay profile has no frame times"
     from repro.fastpath.replay import replay_spec
 
-    return replay_spec(spec, driver, compiled), None
+    return replay_spec(spec, driver, compiled, telemetry), None
 
 
 def fastpath_driver_attempt(
@@ -157,7 +149,7 @@ def fastpath_driver_attempt(
     must fall back to the event engine. The driver's profile is compiled on
     the spot (no cache: a live driver has no content identity to key on).
     """
-    reason = run_ineligibility(architecture, dvsync_config, telemetry, verify)
+    reason = run_ineligibility(architecture, dvsync_config, verify)
     if reason is not None:
         return None, reason
     from repro.fastpath.profile import compile_profile
@@ -172,7 +164,7 @@ def fastpath_driver_attempt(
         start_time=0,
         horizon=None,
     )
-    return _replay(pseudo_spec, driver, compiled)
+    return _replay(pseudo_spec, driver, compiled, telemetry)
 
 
 def fastpath_attempt(
@@ -191,7 +183,8 @@ def fastpath_attempt(
     from repro.fastpath.profile import load_compiled
 
     driver, compiled = load_compiled(spec.driver)
-    result, reason = _replay(spec, driver, compiled)
+    # spec.telemetry forces a session; False defers to the process switch.
+    result, reason = _replay(spec, driver, compiled, True if spec.telemetry else None)
     if result is None:
         # only an uncached (non-trace-pure) driver may be handed on
         return None, driver if compiled is None else None, reason

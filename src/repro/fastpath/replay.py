@@ -36,6 +36,7 @@ What makes it fast:
 from __future__ import annotations
 
 import dataclasses
+import time
 from heapq import heappop, heappush
 from typing import TYPE_CHECKING
 
@@ -45,11 +46,13 @@ from repro.core.config import DVSyncConfig
 from repro.core.dtv import DisplayTimeVirtualizer
 from repro.display.hal import PresentRecord
 from repro.errors import ConfigurationError, SimulationError
-from repro.exec.governor import guard_for_spec
+from repro.exec.governor import BudgetGuard, guard_for_spec
 from repro.sim.engine import max_events_diagnostic
 from repro.pipeline.compositor import DropEvent
 from repro.pipeline.frame import FrameRecord
 from repro.pipeline.scheduler_base import RunResult
+from repro.telemetry.session import DROP, PRESENT, QUEUED, SPAWN, UI_COMPLETE
+from repro.telemetry.session import record_emissions, resolve_telemetry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.exec.spec import RunSpec
@@ -73,39 +76,11 @@ _GPU_END = 3
 # Sentinel horizon: far beyond any representable run (ns ≈ 146 years).
 _NO_HORIZON = 1 << 62
 
-# FrameRecord is constructed ~once per microsecond of replay; when its layout
-# is the one this kernel was written against (a plain dataclass, no slots, no
-# __post_init__), the kernel builds instances by assigning __dict__ directly —
-# byte-identical state, a fraction of the dataclass __init__ cost. Any drift
-# in the dataclass falls back to the normal constructor.
-_EXPECTED_FRAME_FIELDS = (
-    "frame_id",
-    "workload",
-    "trigger_time",
-    "content_timestamp",
-    "decoupled",
-    "ui_start",
-    "ui_end",
-    "render_start",
-    "render_end",
-    "gpu_end",
-    "queued_time",
-    "latch_time",
-    "present_time",
-    "buffer_slot",
-    "render_rate_hz",
-    "buffer_wait_ns",
-    "content_value",
-    "input_predicted",
-)
-_FAST_FRAME = (
-    tuple(f.name for f in dataclasses.fields(FrameRecord)) == _EXPECTED_FRAME_FIELDS
-    and not hasattr(FrameRecord, "__slots__")
-    and not hasattr(FrameRecord, "__post_init__")
-)
-
-# Same trick for PresentRecord (one per displayed frame); frozen dataclasses
-# keep a normal instance __dict__, so direct assignment is exact state.
+# PresentRecord is a frozen dataclass, whose __init__ sets each field through
+# object.__setattr__. When its layout is the one this kernel was written
+# against (no slots, no __post_init__), the kernel fills a fresh instance's
+# __dict__ instead: exact state at a fraction of the cost. Any drift in the
+# dataclass falls back to the normal constructor.
 _EXPECTED_PRESENT_FIELDS = (
     "frame_id",
     "present_time",
@@ -123,10 +98,14 @@ _FAST_PRESENT = (
 
 
 def replay_spec(
-    spec: "RunSpec", driver: "ScenarioDriver", compiled: "CompiledProfile"
+    spec: "RunSpec", driver: "ScenarioDriver", compiled: "CompiledProfile", telemetry=None
 ) -> RunResult:
-    """Replay a trace-pure *spec* and return its exact :class:`RunResult`."""
-    return _Replay(spec, driver, compiled).run()
+    """Replay a trace-pure *spec* and return its exact :class:`RunResult`.
+
+    *telemetry* follows the scheduler constructors' tri-state contract; a
+    recorded replay logs what the event engine's telemetry hooks log.
+    """
+    return _Replay(spec, driver, compiled).run(telemetry)
 
 
 class _Replay:
@@ -154,9 +133,15 @@ class _Replay:
         self.refresh_hz = device.refresh_hz
 
     # -------------------------------------------------------------- run loop
-    def run(self) -> RunResult:  # noqa: C901 - deliberately monolithic hot loop
+    def run(self, telemetry) -> RunResult:  # noqa: C901 - deliberately monolithic hot loop
+        run_started = time.perf_counter()
         spec = self.spec
         driver = self.driver
+        scheduler = "dvsync" if self.dvsync else "vsync"
+        session = resolve_telemetry(telemetry, name=f"{scheduler}@{driver.name}")
+        recording = session.enabled
+        log: list[tuple[str, int]] = []  # the emission log of a recorded run
+        emit = log.append if recording else None
         compiled = self.compiled
         dvsync = self.dvsync
         config = self.config
@@ -180,6 +165,8 @@ class _Replay:
         # one), and elided (time, seq) pairs sit in the `rec` min-heap until
         # the main loop reaches their position in (time, seq) order.
         guard = guard_for_spec(spec)
+        if guard is None and recording:
+            guard = BudgetGuard()  # a pure counter, for the snapshot's sim.events
         rec: list[tuple[int, int]] = []
 
         # Per-frame policy, compiled away where the profile declares it.
@@ -302,8 +289,6 @@ class _Replay:
         frame_record = FrameRecord
         drop_event = DropEvent
         present_record = PresentRecord
-        fast_frame = _FAST_FRAME
-        new_frame = FrameRecord.__new__
         fast_present = _FAST_PRESENT
         new_present = PresentRecord.__new__
 
@@ -327,39 +312,15 @@ class _Replay:
             end = start + ui_ns
             ui_busy = end
             ui_total += ui_ns
-            if fast_frame:
-                frame = new_frame(frame_record)
-                frame.__dict__ = {
-                    "frame_id": index,
-                    "workload": workload,
-                    "trigger_time": at,
-                    "content_timestamp": ts,
-                    "decoupled": decoupled,
-                    "ui_start": start if start <= hz else None,
-                    "ui_end": None,
-                    "render_start": None,
-                    "render_end": None,
-                    "gpu_end": None,
-                    "queued_time": None,
-                    "latch_time": None,
-                    "present_time": None,
-                    "buffer_slot": None,
-                    "render_rate_hz": None,
-                    "buffer_wait_ns": 0,
-                    "content_value": value_of(ts),
-                    "input_predicted": False,
-                }
-            else:
-                frame = frame_record(
-                    frame_id=index,
-                    workload=workload,
-                    trigger_time=at,
-                    content_timestamp=ts,
-                    decoupled=decoupled,
-                )
-                frame.content_value = value_of(ts)
-                if start <= hz:
-                    frame.ui_start = start
+            frame = frame_record(
+                frame_id=index,
+                workload=workload,
+                trigger_time=at,
+                content_timestamp=ts,
+                decoupled=decoupled,
+                ui_start=start if start <= hz else None,
+                content_value=value_of(ts),
+            )
             frames.append(frame)
             # SimThread.submit schedules the start recorder first: the elided
             # ui_started event owns seq, ui_finished owns seq + 1.
@@ -367,6 +328,8 @@ class _Replay:
             if guard is not None:
                 heappush_(rec, (start, seq))
             seq += 2
+            if emit is not None:  # on_frame_spawned
+                emit((SPAWN, index))
             return frame
 
         def pump(at: int) -> None:
@@ -465,6 +428,8 @@ class _Replay:
             slot_queued_at[slot] = at
             fifo.append(slot)
             in_flight -= 1
+            if emit is not None:  # on_frame_queued, ahead of the DTV hook
+                emit((QUEUED, frame.frame_id))
             if dvsync:
                 execution_ns = workload.ui_ns + workload.render_ns + gpu_ns
                 if execution_ns > 0:
@@ -492,6 +457,7 @@ class _Replay:
             vsync_waiter = True
 
         executed = 0
+        loop_started = time.perf_counter()
         while heap:
             t, eseq, kind, efid, eslot = heappop_(heap)
             if cancelled and eseq in cancelled:
@@ -565,6 +531,8 @@ class _Replay:
                                 refresh_period=period,
                             )
                         presents.append(record)
+                        if emit is not None:  # HAL listener, ahead of the DTV's
+                            emit((PRESENT, len(presents) - 1))
                         if dvsync:
                             # DTV.on_present: calibrate against the committed
                             # prediction for this frame.
@@ -587,6 +555,8 @@ class _Replay:
                                 frames_in_flight=in_flight if in_flight > 0 else 0,
                             )
                         )
+                        if emit is not None:
+                            emit((DROP, len(drops) - 1))
                 elif in_flight > 0:
                     drops.append(
                         drop_event(
@@ -596,6 +566,8 @@ class _Replay:
                             frames_in_flight=in_flight,
                         )
                     )
+                    if emit is not None:
+                        emit((DROP, len(drops) - 1))
                 # compositor.after_tick: the base stop-check, then the pump.
                 if driver_done and in_flight == 0 and not fifo:
                     hw_running = False
@@ -674,6 +646,10 @@ class _Replay:
                                 nxt = int(arrivals[pos]) - lead
                                 if nxt < target:
                                     target = nxt
+                            # Ticks past the horizon never execute live, so
+                            # they are neither counted nor skipped.
+                            if target > hz:
+                                target = hz + 1
                             pending = head_entry[0]
                             skipped = (target - pending + period - 1) // period
                             if skipped > 0:
@@ -698,6 +674,8 @@ class _Replay:
             elif kind == _UI_END:
                 frame = frames[efid]
                 frame.ui_end = t
+                if emit is not None:  # on_ui_complete, ahead of the pump
+                    emit((UI_COMPLETE, efid))
                 # on_ui_complete pumps before submit_render.
                 if dvsync and not driver_done:
                     if t >= finish_at:
@@ -791,11 +769,13 @@ class _Replay:
                     + max_events_diagnostic(_MAX_EVENTS, t, eseq)
                     + "; likely a scheduling feedback loop"
                 )
+        if recording:
+            session.add_profile("sim.loop", time.perf_counter() - loop_started)
         if horizon is not None and now < horizon:
             now = horizon
 
         result = RunResult(
-            scheduler="dvsync" if dvsync else "vsync",
+            scheduler=scheduler,
             scenario=driver.name,
             device=spec.device,
             buffer_count=capacity,
@@ -829,4 +809,10 @@ class _Replay:
                     "routed_vsync": 0,
                 }
             )
+        if recording:
+            # tick_index counts fast-forwarded ticks too: each is a no-op
+            # compositor tick the live engine executes.
+            record_emissions(session, result, log, tick_index + 1, guard.events)
+            session.add_profile("scheduler.run", time.perf_counter() - run_started)
+            result.telemetry = session.snapshot(f"{scheduler}@{driver.name}")
         return result

@@ -11,7 +11,8 @@ The catalog:
 
 ==================== =====================================================
 ``engine-parity``    event loop and fastpath replay are byte-identical on
-                     eligible specs; ``auto`` falls back consistently.
+                     eligible specs, telemetry snapshots included;
+                     ``auto`` falls back consistently.
 ``seed-determinism`` re-executing the same spec reproduces the same
                      behavioral bytes (cross-backend determinism).
 ``observer-neutral`` telemetry sessions and invariant checkers observe the
@@ -71,6 +72,13 @@ def behavioral_text(result: RunResult) -> str:
     return canonical_json(behavioral_wire(result))
 
 
+def snapshot_text(result: RunResult) -> str:
+    """Canonical JSON of the telemetry snapshot minus its wall-clock seconds."""
+    wire = result.telemetry.to_dict()
+    wire["profile"] = {name: entry["count"] for name, entry in wire["profile"].items()}
+    return canonical_json(wire)
+
+
 def _first_difference(a: str, b: str, context: int = 40) -> str:
     """Locate the first differing byte of two canonical JSON texts."""
     limit = min(len(a), len(b))
@@ -124,7 +132,8 @@ class EngineParity(Relation):
     name = "engine-parity"
     description = (
         "event-loop and fastpath results are byte-identical on trace-pure "
-        "specs; auto falls back to the event engine consistently"
+        "specs, telemetry snapshots included; auto falls back to the event "
+        "engine consistently"
     )
 
     def applies(self, spec: RunSpec) -> bool:
@@ -144,6 +153,13 @@ class EngineParity(Relation):
         fast_text = behavioral_text(fast)
         if event_text != fast_text:
             return f"engines diverge: {_first_difference(event_text, fast_text)}"
+        if spec.telemetry:
+            event_snapshot, fast_snapshot = snapshot_text(event), snapshot_text(fast)
+            if event_snapshot != fast_snapshot:
+                return (
+                    "telemetry snapshots diverge: "
+                    f"{_first_difference(event_snapshot, fast_snapshot)}"
+                )
         batch_text = behavioral_text(results[0])
         if batch_text != event_text:
             return (

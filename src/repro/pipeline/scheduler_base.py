@@ -183,12 +183,15 @@ class SchedulerBase(abc.ABC):
     def _install_telemetry(
         self, telemetry: "Telemetry | NullTelemetry | bool | None"
     ) -> None:
-        """Resolve the telemetry argument and, when enabled, attach probes.
+        """Resolve the telemetry argument and, when enabled, log the run.
 
-        Disabled telemetry registers **nothing**: every emission below rides
-        an existing hook list, so a run without telemetry executes the same
-        code paths as one built before the subsystem existed.
+        Disabled telemetry registers **nothing**, so a run without telemetry
+        executes the same code paths as one built before the subsystem
+        existed. Enabled telemetry appends ``(kind, index)`` pairs to
+        :attr:`_emissions` and counts compositor ticks; :meth:`run` builds
+        the session's trace and metrics from them once the run is over.
         """
+        from repro.telemetry.session import DROP, PRESENT, QUEUED, SPAWN, UI_COMPLETE
         from repro.telemetry.session import resolve_telemetry
 
         session = resolve_telemetry(
@@ -197,63 +200,26 @@ class SchedulerBase(abc.ABC):
         self.telemetry = session
         if not session.enabled:
             return
-        pipeline_probe = session.probe("ui")
-        trigger_probe = session.probe("trigger")
-        display_probe = session.probe("display")
-        jank_probe = session.probe("janks")
-
-        def frame_spawned(frame: FrameRecord) -> None:
-            trigger_probe.instant(
-                "d-vsync" if frame.decoupled else "vsync-app", frame.trigger_time
-            )
-            trigger_probe.count("frames")
-
-        def ui_complete(frame: FrameRecord) -> None:
-            if frame.ui_start is not None and frame.ui_end is not None:
-                pipeline_probe.span(
-                    f"frame-{frame.frame_id}", frame.ui_start, frame.ui_end,
-                )
-                pipeline_probe.observe("self_ns", frame.ui_end - frame.ui_start)
-
-        def frame_queued(frame: FrameRecord) -> None:
-            if frame.render_start is not None and frame.render_end is not None:
-                session.trace.add_span(
-                    "render", f"frame-{frame.frame_id}", frame.render_start, frame.render_end
-                )
-            if frame.workload.gpu_ns and frame.render_end is not None and frame.gpu_end:
-                session.trace.add_span(
-                    "gpu", f"frame-{frame.frame_id}", frame.render_end, frame.gpu_end
-                )
-            if frame.buffer_wait_ns:
-                session.metrics.histogram("queue.buffer_wait_ns").observe(
-                    frame.buffer_wait_ns
-                )
-
-        def presented(record: PresentRecord) -> None:
-            display_probe.instant(f"frame-{record.frame_id}", record.present_time)
-            display_probe.counter(
-                record.present_time, record.queue_depth_after, name="queue-depth"
-            )
-            display_probe.count("presents")
-
-        drops_seen = 0
+        log = self._emissions = []
+        self._ticks = 0
+        presents, drops = self.hal.presents, self.compositor.drops
+        logged_drops = 0
 
         def after_tick(timestamp: int, index: int) -> None:
-            nonlocal drops_seen
-            jank_probe.count("ticks")
-            while drops_seen < len(self.compositor.drops):
-                drop = self.compositor.drops[drops_seen]
-                drops_seen += 1
-                jank_probe.instant("frame-drop", drop.time)
-                jank_probe.count("drops")
+            nonlocal logged_drops
+            self._ticks += 1
+            while logged_drops < len(drops):
+                log.append((DROP, logged_drops))
+                logged_drops += 1
 
-        self.on_frame_spawned.append(frame_spawned)
-        self.pipeline.on_ui_complete.append(ui_complete)
-        self.pipeline.on_frame_queued.append(frame_queued)
-        self.hal.add_listener(presented)
+        for hooks, kind in (
+            (self.on_frame_spawned, SPAWN),
+            (self.pipeline.on_ui_complete, UI_COMPLETE),
+            (self.pipeline.on_frame_queued, QUEUED),
+        ):
+            hooks.append(lambda frame, kind=kind: log.append((kind, frame.frame_id)))
+        self.hal.add_listener(lambda record: log.append((PRESENT, len(presents) - 1)))
         self.compositor.after_tick.append(after_tick)
-        # The simulator self-times its event loop (wall clock) into the session.
-        self.sim.telemetry = session
 
     # ----------------------------------------------------------- verification
     def _install_verifier(self, verify: "InvariantChecker | bool | None") -> None:
@@ -364,7 +330,11 @@ class SchedulerBase(abc.ABC):
         self._started = True
         self.hw_vsync.start(start_time)
         self._kick()
+        events_before = self.sim.events_processed
+        loop_started = time.perf_counter()
         self.sim.run(until=horizon, max_events=_MAX_EVENTS)
+        if recording:
+            telemetry.add_profile("sim.loop", time.perf_counter() - loop_started)
         self.hw_vsync.stop()
         result = RunResult(
             scheduler=self.scheduler_name,
@@ -386,11 +356,12 @@ class SchedulerBase(abc.ABC):
                 (c.time, c.listener, c.error) for c in self.hal.contained_errors
             ]
         self._finalize_result(result)
-        if run_started is not None:
+        if recording:
+            from repro.telemetry.session import record_emissions
+
+            events = self.sim.events_processed - events_before
+            record_emissions(telemetry, result, self._emissions, self._ticks, events)
             telemetry.add_profile("scheduler.run", time.perf_counter() - run_started)
-            telemetry.metrics.gauge("run.frames").set(len(result.frames))
-            telemetry.metrics.gauge("run.drops").set(len(result.drops))
-            telemetry.metrics.gauge("run.presents").set(len(result.presents))
             result.telemetry = telemetry.snapshot(
                 f"{self.scheduler_name}@{self.driver.name}"
             )

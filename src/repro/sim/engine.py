@@ -18,7 +18,6 @@ Determinism guarantees:
 from __future__ import annotations
 
 import heapq
-import time
 from typing import Any, Callable
 
 from repro.errors import SimulationError
@@ -61,11 +60,6 @@ class Simulator:
         # event loop continues. None (the default) preserves fail-fast
         # semantics — any callback exception aborts the run.
         self.exception_handler: Callable[[int, Exception], bool] | None = None
-        # Opt-in observability: a telemetry session (repro.telemetry) that
-        # run() self-times its event loop into — wall-clock seconds under the
-        # "sim.loop" profile block plus an executed-event count. None (the
-        # default) records nothing.
-        self.telemetry = None
         # Opt-in governance: any object with on_event(time, seq) — in
         # practice a repro.exec.governor.BudgetGuard (duck-typed so this
         # kernel never imports the execution layer). run()/step() call it
@@ -129,7 +123,6 @@ class Simulator:
             raise SimulationError("simulator is already running (re-entrant run() call)")
         self._running = True
         executed = 0
-        loop_started = time.perf_counter() if self.telemetry is not None else None
         try:
             while self._queue:
                 event = self._queue[0]
@@ -155,11 +148,6 @@ class Simulator:
                 self._now = until
         finally:
             self._running = False
-            if loop_started is not None:
-                self.telemetry.add_profile(
-                    "sim.loop", time.perf_counter() - loop_started
-                )
-                self.telemetry.metrics.counter("sim.events").inc(executed)
 
     def step(self) -> bool:
         """Execute the single next pending event.

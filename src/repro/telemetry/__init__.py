@@ -1,11 +1,12 @@
-"""Telemetry: probes, metrics, wall-clock profiling, and trace export.
+"""Telemetry: run traces and metrics, wall-clock profiling, and trace export.
 
-The observability spine of the reproduction (DESIGN.md §9). Zero-cost when
-disabled — schedulers built without a session register no hooks and emit
-nothing; process-wide opt-in (:func:`set_enabled`, driven by the CLI's
-``--trace`` / ``--profile``) turns every subsequent run into a recorded one,
-including runs that execute in pool workers and come back over the result
-wire.
+The observability spine of the reproduction (DESIGN.md §9). Telemetry is
+computed from the finished run and a log of its order, so either engine can
+record it. Zero-cost when disabled — schedulers built without a session
+register no hooks; process-wide opt-in (:func:`set_enabled`, driven by the
+CLI's ``--trace`` / ``--profile``) turns every subsequent run into a recorded
+one, including runs that execute in pool workers and come back over the
+result wire.
 """
 
 from repro.telemetry.chrome import (
@@ -34,11 +35,8 @@ from repro.telemetry.runtime import (
     set_enabled,
 )
 from repro.telemetry.session import (
-    NULL_PROBE,
     NULL_TELEMETRY,
-    NullProbe,
     NullTelemetry,
-    Probe,
     Telemetry,
     TelemetrySnapshot,
     resolve_telemetry,
@@ -67,11 +65,8 @@ __all__ = [
     "new_run_session",
     "reset",
     "set_enabled",
-    "NULL_PROBE",
     "NULL_TELEMETRY",
-    "NullProbe",
     "NullTelemetry",
-    "Probe",
     "Telemetry",
     "TelemetrySnapshot",
     "resolve_telemetry",

@@ -1,18 +1,20 @@
-"""Telemetry sessions: the per-run recorder behind every probe.
+"""Telemetry sessions: the per-run recorder, filled once the run is over.
 
 A :class:`Telemetry` session owns three stores:
 
 - an event :class:`~repro.trace.record.Trace` (spans / instants / counter
-  samples in *simulated* nanoseconds) that probes append to;
+  samples in *simulated* nanoseconds);
 - a :class:`~repro.telemetry.metrics.MetricsRegistry` of counters, gauges,
   and histograms;
 - a wall-clock profile: named blocks measured with ``time.perf_counter``
-  (scheduler run time, sim event-loop self-time, executor batches).
+  (scheduler run time, engine loop time, executor batches).
 
-Disabled telemetry is the :data:`NULL_TELEMETRY` singleton whose probes are
-shared no-ops and which never allocates a store — schedulers built without a
-session register **zero** telemetry hooks, so the disabled path costs one
-branch at construction and nothing per frame.
+During a run either engine only logs the order of what happened, and
+:func:`record_emissions` computes the trace and metrics afterwards. Disabled
+telemetry is the :data:`NULL_TELEMETRY` singleton, which never allocates a
+store — schedulers built without a session register **zero** telemetry
+hooks, so the disabled path costs one branch at construction and nothing
+per frame.
 
 A finished session freezes into a :class:`TelemetrySnapshot`, the JSON-able
 form that rides on ``RunResult.telemetry`` across the executor's process-pool
@@ -24,90 +26,25 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import time
-from typing import Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from repro.errors import ConfigurationError
 from repro.telemetry.metrics import MetricsRegistry
 from repro.trace.record import Trace
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.pipeline.scheduler_base import RunResult
+
 #: Bump when the snapshot wire layout changes (folded into the RunResult
 #: schema via repro.exec.serialize).
 TELEMETRY_SCHEMA_VERSION = 1
 
-
-class Probe:
-    """A named emission point bound to one session and one track.
-
-    Components hold a probe and emit spans (named intervals), instants (point
-    events), and counter samples — all in simulated nanoseconds — plus
-    registry metrics namespaced under the probe's track.
-    """
-
-    __slots__ = ("session", "track")
-
-    def __init__(self, session: "Telemetry", track: str) -> None:
-        self.session = session
-        self.track = track
-
-    @property
-    def enabled(self) -> bool:
-        return True
-
-    def span(self, name: str, start: int, end: int) -> None:
-        """Record a completed interval on this probe's track."""
-        self.session.trace.add_span(self.track, name, start, end)
-
-    def instant(self, name: str, time_ns: int) -> None:
-        """Record a point event on this probe's track."""
-        self.session.trace.add_instant(self.track, name, time_ns)
-
-    def counter(self, time_ns: int, value: float, name: str | None = None) -> None:
-        """Sample a numeric counter track (defaults to this probe's track)."""
-        self.session.trace.add_counter(name or self.track, time_ns, value)
-
-    def count(self, metric: str, amount: float = 1.0) -> None:
-        """Increment a registry counter namespaced under this track."""
-        self.session.metrics.counter(f"{self.track}.{metric}").inc(amount)
-
-    def gauge(self, metric: str, value: float) -> None:
-        """Set a registry gauge namespaced under this track."""
-        self.session.metrics.gauge(f"{self.track}.{metric}").set(value)
-
-    def observe(self, metric: str, value: float) -> None:
-        """Feed a registry histogram namespaced under this track."""
-        self.session.metrics.histogram(f"{self.track}.{metric}").observe(value)
-
-
-class NullProbe:
-    """The do-nothing probe: every emission method returns immediately."""
-
-    __slots__ = ()
-
-    @property
-    def enabled(self) -> bool:
-        return False
-
-    def span(self, name: str, start: int, end: int) -> None:
-        pass
-
-    def instant(self, name: str, time_ns: int) -> None:
-        pass
-
-    def counter(self, time_ns: int, value: float, name: str | None = None) -> None:
-        pass
-
-    def count(self, metric: str, amount: float = 1.0) -> None:
-        pass
-
-    def gauge(self, metric: str, value: float) -> None:
-        pass
-
-    def observe(self, metric: str, value: float) -> None:
-        pass
-
-
-#: Shared no-op probe handed out by disabled telemetry.
-NULL_PROBE = NullProbe()
+#: Emission kinds of a run's ordered ``(kind, index)`` log. A frame kind
+#: indexes ``RunResult.frames`` (by frame id), a present or a drop
+#: ``RunResult.presents`` / ``RunResult.drops``.
+SPAWN, UI_COMPLETE, QUEUED, PRESENT, DROP = (
+    "spawn", "ui-complete", "queued", "present", "drop"
+)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -174,10 +111,7 @@ class Telemetry:
         self.trace = Trace(name=name)
         self.metrics = MetricsRegistry()
         self._profile: dict[str, dict[str, float]] = {}
-
-    def probe(self, track: str) -> Probe:
-        """A probe bound to *track* on this session."""
-        return Probe(self, track)
+        self._claimed = False
 
     # ------------------------------------------------------- wall-clock blocks
     def add_profile(self, block: str, seconds: float, count: int = 1) -> None:
@@ -211,16 +145,13 @@ class Telemetry:
 
 
 class NullTelemetry:
-    """Disabled telemetry: shared no-op probes, no stores, no snapshot."""
+    """Disabled telemetry: no stores, no snapshot."""
 
     enabled = False
 
     @property
     def name(self) -> str:
         return "telemetry-off"
-
-    def probe(self, track: str) -> NullProbe:
-        return NULL_PROBE
 
     def add_profile(self, block: str, seconds: float, count: int = 1) -> None:
         pass
@@ -244,11 +175,12 @@ def resolve_telemetry(
     telemetry: "Telemetry | NullTelemetry | bool | None",
     name: str = "telemetry",
 ) -> "Telemetry | NullTelemetry":
-    """Normalize a telemetry argument into a session.
+    """Normalize a telemetry argument into the session for one run.
 
     ``None`` defers to the process-wide default (``repro.telemetry.runtime``),
     ``True``/``False`` force a fresh session or the null one, and an existing
-    session passes through unchanged.
+    session passes through unchanged. A session records exactly one run: its
+    snapshot shares its trace, so resolving a used session raises.
     """
     if telemetry is None:
         from repro.telemetry.runtime import new_run_session
@@ -258,9 +190,70 @@ def resolve_telemetry(
         return Telemetry(name)
     if telemetry is False:
         return NULL_TELEMETRY
-    if isinstance(telemetry, (Telemetry, NullTelemetry)):
+    if isinstance(telemetry, Telemetry):
+        if telemetry._claimed:
+            raise ConfigurationError("a Telemetry session records exactly one run")
+        telemetry._claimed = True
+        return telemetry
+    if isinstance(telemetry, NullTelemetry):
         return telemetry
     raise ConfigurationError(
         f"telemetry must be a Telemetry session, bool, or None, "
         f"got {type(telemetry).__name__}"
     )
+
+
+def record_emissions(
+    session: Telemetry, result: "RunResult", emissions: Iterable[tuple[str, int]],
+    ticks: int, events: int,
+) -> None:
+    """Fill *session*'s trace and metrics from a finished run.
+
+    *emissions* is the run's ordered ``(kind, index)`` log, *ticks* the
+    number of compositor ticks it executed and *events* the number of
+    simulator events. Trace events are appended in log order, the order the
+    Chrome export writes them in; the records they read are final by now.
+    """
+    trace, metrics, frames = session.trace, session.metrics, result.frames
+    counts = {SPAWN: 0, PRESENT: 0, DROP: 0}
+    for kind, index in emissions:
+        if kind == SPAWN:
+            frame = frames[index]
+            trigger = "d-vsync" if frame.decoupled else "vsync-app"
+            trace.add_instant("trigger", trigger, frame.trigger_time)
+        elif kind == UI_COMPLETE:
+            frame = frames[index]
+            if frame.ui_start is not None and frame.ui_end is not None:
+                trace.add_span("ui", f"frame-{index}", frame.ui_start, frame.ui_end)
+                metrics.histogram("ui.self_ns").observe(frame.ui_end - frame.ui_start)
+        elif kind == QUEUED:
+            frame = frames[index]
+            label, render_end = f"frame-{index}", frame.render_end
+            if frame.render_start is not None and render_end is not None:
+                trace.add_span("render", label, frame.render_start, render_end)
+            if frame.workload.gpu_ns and render_end is not None and frame.gpu_end:
+                trace.add_span("gpu", label, render_end, frame.gpu_end)
+            if frame.buffer_wait_ns:
+                metrics.histogram("queue.buffer_wait_ns").observe(frame.buffer_wait_ns)
+        elif kind == PRESENT:
+            record = result.presents[index]
+            at = record.present_time
+            trace.add_instant("display", f"frame-{record.frame_id}", at)
+            trace.add_counter("queue-depth", at, record.queue_depth_after)
+        else:
+            trace.add_instant("janks", "frame-drop", result.drops[index].time)
+        if kind in counts:
+            counts[kind] += 1
+    # A counter appears once it has counted something; sim.events always does.
+    for name, count in (
+        ("trigger.frames", counts[SPAWN]),
+        ("display.presents", counts[PRESENT]),
+        ("janks.ticks", ticks),
+        ("janks.drops", counts[DROP]),
+    ):
+        if count:
+            metrics.counter(name).inc(count)
+    metrics.counter("sim.events").inc(events)
+    metrics.gauge("run.frames").set(len(frames))
+    metrics.gauge("run.drops").set(len(result.drops))
+    metrics.gauge("run.presents").set(len(result.presents))

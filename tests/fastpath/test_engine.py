@@ -21,6 +21,7 @@ from repro.fastpath.engine import (
     set_default_engine,
     spec_ineligibility,
 )
+from tests.fastpath.test_parity import wire_text
 
 
 @pytest.fixture(autouse=True)
@@ -75,7 +76,7 @@ def test_spec_ineligibility_names_the_observer():
     runtime.set_enabled(False)  # the suite-wide strict fixture resets this
     assert spec_ineligibility(_burst_spec(verify=False)) is None
     assert "invariant checker" in spec_ineligibility(_burst_spec(verify=True))
-    assert "telemetry" in spec_ineligibility(_burst_spec(telemetry=True))
+    assert spec_ineligibility(_burst_spec(telemetry=True)) is None
     disabled = _burst_spec(
         architecture="dvsync",
         buffer_count=None,
@@ -95,9 +96,9 @@ def test_process_wide_verify_switch_blocks_fastpath():
 #: ``None`` defers to the switch; a spec's ``False`` does the same.
 _VERDICT_CASES = {
     "switches-off": (False, False, (None, None), (False, False), None, True),
-    "telemetry-on": (False, False, (True, False), (True, False), None, False),
+    "telemetry-on": (False, False, (True, False), (True, False), None, True),
     "telemetry-off": (False, False, (False, False), (False, False), None, True),
-    "telemetry-switch": (True, False, (None, False), (False, False), None, False),
+    "telemetry-switch": (True, False, (None, False), (False, False), None, True),
     "verify-on": (False, False, (False, True), (False, True), None, False),
     "verify-off": (False, False, (False, False), (False, False), None, True),
     "verify-switch": (False, True, (False, None), (False, False), None, False),
@@ -133,9 +134,7 @@ def test_live_driver_and_spec_paths_agree_on_eligibility(case):
     assert (spec_result is not None) is replayable
     assert (driver_result is not None) is replayable
     if replayable:
-        assert canonical_json(result_to_wire(spec_result)) == canonical_json(
-            result_to_wire(driver_result)
-        )
+        assert wire_text(spec_result) == wire_text(driver_result)
 
 
 # ---------------------------------------------------------------- fallback

@@ -36,7 +36,13 @@ def _verification_off():
 
 
 def wire_text(result) -> str:
-    return canonical_json(result_to_wire(result))
+    """Canonical wire form; a telemetry snapshot's profile blocks keep their
+    keys and counts, while their wall-clock seconds are zeroed."""
+    wire = result_to_wire(result)
+    if wire.get("telemetry") is not None:
+        for block in wire["telemetry"]["profile"].values():
+            block["seconds"] = 0.0
+    return canonical_json(wire)
 
 
 def run_both(spec: RunSpec) -> tuple[str, str]:
@@ -70,7 +76,17 @@ def _oracle_cases():
                 )
 
 
-@pytest.mark.parametrize("spec", _oracle_cases())
+def _telemetry_off_and_on(cases):
+    """Each case as given, then again recording a telemetry session."""
+    for case in cases:
+        (spec,) = case.values
+        yield case
+        yield pytest.param(
+            dataclasses.replace(spec, telemetry=True), id=f"{case.id}/telemetry"
+        )
+
+
+@pytest.mark.parametrize("spec", _telemetry_off_and_on(_oracle_cases()))
 def test_oracle_corpus_is_byte_identical_under_both_engines(spec):
     event_wire, fast_wire = run_both(spec)
     assert event_wire == fast_wire
@@ -116,12 +132,25 @@ def _stress_specs():
             ),
             id="dvsync/dtv-ablated/7-buffers",
         ),
+        pytest.param(
+            RunSpec(
+                driver=stress,
+                device=PIXEL_5,
+                architecture="vsync",
+                buffer_count=3,
+                horizon=550_000_000,
+            ),
+            # The fastpath fast-forwards idle gaps; ticks past the horizon
+            # must not count (the snapshot's janks.ticks and sim.events).
+            id="vsync/horizon-in-idle-gap",
+        ),
     ]
 
 
-@pytest.mark.parametrize("spec", _stress_specs())
+@pytest.mark.parametrize("spec", _telemetry_off_and_on(_stress_specs()))
 def test_stress_shapes_are_byte_identical(spec):
-    """Offset start times, tight pre-render limits, DTV ablation."""
+    """Offset start times, tight pre-render limits, DTV ablation, a horizon
+    inside an idle gap."""
     event_wire, fast_wire = run_both(spec)
     assert event_wire == fast_wire
 

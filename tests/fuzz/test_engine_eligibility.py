@@ -57,15 +57,7 @@ RULES = [
         "degradation watchdog",
         True,
     ),
-    ("spec-telemetry", {"telemetry": True}, None, "telemetry session", True),
     ("spec-verify", {"verify": True}, None, "invariant checker", True),
-    (
-        "process-telemetry",
-        {},
-        "telemetry",
-        "process-wide telemetry switch",
-        True,
-    ),
     (
         "process-verify",
         {},
@@ -99,12 +91,10 @@ def flip_switch():
     torn_down = []
 
     def flip(which):
-        if which == "telemetry":
-            from repro.telemetry import runtime
-        elif which == "verify":
-            from repro.verify import runtime
-        else:
+        if which != "verify":
             return
+        from repro.verify import runtime
+
         runtime.set_enabled(True)
         torn_down.append(runtime)
 

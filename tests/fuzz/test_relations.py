@@ -86,7 +86,8 @@ def test_engine_parity_applies_only_to_eligible_specs():
     relation = EngineParity()
     assert relation.applies(_spec())
     assert not relation.applies(_spec(faults="vsync-jitter(sigma_us=300)"))
-    assert not relation.applies(_spec(telemetry=True))
+    assert not relation.applies(_spec(verify=True))
+    assert relation.applies(_spec(telemetry=True))  # recorded runs replay too
 
 
 def test_observer_neutrality_probe_shape():
@@ -151,6 +152,22 @@ def test_checks_pass_on_a_healthy_spec(execute):
         assert relation.applies(spec)
         results = [execute(probe) for probe in relation.probes(spec)]
         assert relation.check(spec, results, execute) is None, relation.name
+
+
+def test_engine_parity_compares_telemetry_snapshots(execute):
+    spec = _spec(telemetry=True)
+    relation = EngineParity()
+    results = [execute(spec)]
+    assert relation.check(spec, results, execute) is None
+
+    def skewed(probe):
+        result = execute(probe)
+        if probe.engine == "fastpath":
+            result.telemetry.trace.add_instant("janks", "frame-drop", 0)
+        return result
+
+    detail = relation.check(spec, results, skewed)
+    assert detail is not None and "telemetry snapshots diverge" in detail
 
 
 def test_content_order_flags_a_rewind(execute):

@@ -19,10 +19,9 @@ from repro.vsync.scheduler import VSyncScheduler
 
 def make_snapshot(name="run"):
     session = Telemetry(name)
-    probe = session.probe("ui")
-    probe.span("frame-0", 1_000_000, 2_000_000)
-    probe.instant("wake", 1_500_000)
-    probe.counter(2_000_000, 3, name="queue-depth")
+    session.trace.add_span("ui", "frame-0", 1_000_000, 2_000_000)
+    session.trace.add_instant("ui", "wake", 1_500_000)
+    session.trace.add_counter("queue-depth", 2_000_000, 3)
     return session.snapshot(name)
 
 

@@ -29,7 +29,6 @@ def test_disabled_run_registers_zero_hooks(pixel5):
     assert scheduler.on_frame_spawned == []
     assert scheduler.pipeline.on_ui_complete == []
     assert scheduler.pipeline.on_frame_queued == []
-    assert scheduler.sim.telemetry is None
     result = scheduler.run()
     assert result.telemetry is None
 
@@ -72,6 +71,27 @@ def test_caller_owned_session_is_used(pixel5):
     assert scheduler.telemetry is session
     scheduler.run()
     assert session.trace.spans
+
+
+@pytest.mark.parametrize("engine", ["event", "fastpath"])
+def test_session_records_exactly_one_run(pixel5, engine):
+    from repro import simulate
+    from repro.core.api import SimConfig
+    from repro.errors import ConfigurationError
+
+    session = Telemetry("once")
+    config = SimConfig(buffer_count=3, engine=engine)
+    first = simulate(
+        make_animation(light_params(), "tel-once"), pixel5,
+        architecture="vsync", config=config, telemetry=session, verify=False,
+    )
+    spans = list(first.telemetry.trace.spans)
+    with pytest.raises(ConfigurationError, match="exactly one run"):
+        simulate(
+            make_animation(light_params(), "tel-twice"), pixel5,
+            architecture="vsync", config=config, telemetry=session, verify=False,
+        )
+    assert first.telemetry.trace.spans == spans
 
 
 def test_result_wire_roundtrip_preserves_snapshot(pixel5):

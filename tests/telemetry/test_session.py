@@ -1,47 +1,16 @@
-"""Tests for telemetry sessions, probes, and the process-wide runtime."""
+"""Tests for telemetry sessions and the process-wide runtime."""
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.telemetry import runtime
 from repro.telemetry.session import (
-    NULL_PROBE,
     NULL_TELEMETRY,
     NullTelemetry,
     Telemetry,
     TelemetrySnapshot,
     resolve_telemetry,
 )
-
-
-def test_probe_emits_into_session_stores():
-    session = Telemetry("run")
-    probe = session.probe("ui")
-    probe.span("frame-0", 100, 200)
-    probe.instant("wakeup", 150)
-    probe.counter(150, 3, name="queue-depth")
-    probe.count("frames")
-    probe.gauge("depth", 2)
-    probe.observe("self_ns", 100)
-    assert len(session.trace.spans) == 1
-    assert session.trace.spans[0].track == "ui"
-    assert len(session.trace.instants) == 1
-    assert len(session.trace.counters) == 1
-    assert session.metrics.value("ui.frames") == 1
-    assert session.metrics.value("ui.depth") == 2
-    assert session.metrics.value("ui.self_ns") == 100
-
-
-def test_null_probe_is_shared_and_inert():
-    assert NULL_TELEMETRY.probe("anything") is NULL_PROBE
-    NULL_PROBE.span("x", 0, 1)
-    NULL_PROBE.instant("x", 0)
-    NULL_PROBE.counter(0, 1)
-    NULL_PROBE.count("x")
-    NULL_PROBE.gauge("x", 1)
-    NULL_PROBE.observe("x", 1)
-    assert not NULL_PROBE.enabled
-    assert NULL_TELEMETRY.snapshot() is None
 
 
 def test_profile_blocks_accumulate():
@@ -58,7 +27,7 @@ def test_profile_blocks_accumulate():
 
 def test_snapshot_wire_roundtrip():
     session = Telemetry("run")
-    session.probe("ui").span("frame-0", 100, 200)
+    session.trace.add_span("ui", "frame-0", 100, 200)
     session.metrics.counter("ui.frames").inc(3)
     session.add_profile("scheduler.run", 0.5)
     snapshot = session.snapshot("vsync@demo")
@@ -120,3 +89,4 @@ def test_null_telemetry_is_reusable_across_runs():
         pass
     assert NULL_TELEMETRY.profile_seconds("x") == 0.0
     assert NULL_TELEMETRY.name == "telemetry-off"
+    assert NULL_TELEMETRY.snapshot() is None
