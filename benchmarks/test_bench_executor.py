@@ -7,7 +7,7 @@ skip the scheduler entirely), so regressions in either direction are visible.
 
 from repro.display.device import PIXEL_5
 from repro.exec.executor import Executor, execute_spec
-from repro.exec.serialize import normalize_result, result_from_wire, result_to_wire
+from repro.exec.serialize import result_from_wire, result_to_wire
 from repro.exec.spec import DriverSpec, RunSpec
 
 
@@ -39,7 +39,7 @@ def test_bench_result_wire_round_trip(benchmark):
         return result_from_wire(result_to_wire(result))
 
     clone = benchmark(round_trip)
-    assert clone.frames == normalize_result(result).frames
+    assert clone == result
 
 
 def test_bench_executor_fanout_inprocess(benchmark):

@@ -107,12 +107,11 @@ class ResultCache:
     def _path(self, key: str) -> pathlib.Path:
         return self.root / key[:2] / f"{key}.json"
 
-    def get(self, spec: RunSpec) -> tuple[dict, RunResult] | None:
-        """``(wire, result decoded from it)`` for *spec*, or ``None`` on a miss."""
+    def get(self, spec: RunSpec) -> RunResult | None:
+        """The result stored for *spec*, decoded, or ``None`` on a miss."""
         path = self._path(self.key(spec))
         try:
-            wire = json.loads(path.read_text())
-            result = result_from_wire(wire)
+            result = result_from_wire(json.loads(path.read_text()))
         except FileNotFoundError:
             self.stats.misses += 1
             return None
@@ -131,7 +130,7 @@ class ResultCache:
         except OSError:
             pass
         self.stats.hits += 1
-        return wire, result
+        return result
 
     def put(self, spec: RunSpec, wire: dict) -> None:
         """Store a result *wire* under *spec*'s content address (atomic write)."""

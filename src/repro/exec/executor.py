@@ -82,7 +82,7 @@ def execute_spec(spec: RunSpec) -> RunResult:
     """Instantiate and run the scheduler a spec describes (no cache, no pool).
 
     This is the only place the execution layer turns a spec into a live
-    scheduler; everything above it deals in specs and serialized results.
+    scheduler; everything above it deals in specs and results.
     Scheduler and fault imports happen at call time: this module sits below
     ``repro.experiments`` in the import graph, while the fault drill sits
     above it.
@@ -161,12 +161,14 @@ def _attempt(spec: RunSpec | dict) -> dict:
     that raises comes back as an error envelope with its taxonomy kind.
 
     A pool worker passes the spec's wire form: it is decoded inside the
-    envelope, and a spec budget's ``memory_mb`` is applied as ``RLIMIT_AS``
-    for the duration of the run (restored afterwards — workers are reused),
-    turning a runaway allocation into a clean ``MemoryError`` → kind ``oom``
-    instead of an OS OOM-kill that would break the whole pool. In-process,
-    ``memory_mb`` is NOT applied — an RLIMIT_AS clamp there would endanger
-    the host process — but a genuine MemoryError still maps to the taxonomy.
+    envelope, the result leaves as its wire, and a spec budget's
+    ``memory_mb`` is applied as ``RLIMIT_AS`` for the duration of the run
+    (restored afterwards — workers are reused), turning a runaway allocation
+    into a clean ``MemoryError`` → kind ``oom`` instead of an OS OOM-kill
+    that would break the whole pool. In-process, the envelope carries the
+    ``RunResult`` itself, and ``memory_mb`` is NOT applied — an RLIMIT_AS
+    clamp there would endanger the host process — but a genuine MemoryError
+    still maps to the taxonomy.
     Budget trips (``BudgetExceededError``) and ooms carry no traceback:
     their envelopes are deterministic functions of spec + budget,
     byte-identical across backends and engines.
@@ -180,8 +182,10 @@ def _attempt(spec: RunSpec | dict) -> dict:
         if spec.budget is not None:
             memory_mb = spec.budget.memory_mb
         with address_space_cap(memory_mb) if in_pool else _UNCAPPED:
-            wire = result_to_wire(execute_spec(spec))
-        return ok_envelope(wire, time.perf_counter() - started)
+            result = execute_spec(spec)
+            if in_pool:
+                result = result_to_wire(result)
+        return ok_envelope(result, time.perf_counter() - started)
     except BudgetExceededError as exc:
         return error_envelope("budget", str(exc), None)
     except MemoryError:
@@ -280,12 +284,11 @@ class ExecStats:
 class _Task:
     """Mutable per-spec supervision state for one batch."""
 
-    __slots__ = ("key", "spec", "wire", "timeout_s", "attempts", "suspect", "resume_at")
+    __slots__ = ("key", "spec", "timeout_s", "attempts", "suspect", "resume_at")
 
     def __init__(self, key: str, spec: RunSpec, timeout_s: float | None) -> None:
         self.key = key
         self.spec = spec
-        self.wire = spec.to_wire()
         self.timeout_s = timeout_s
         self.attempts = 0
         self.suspect = False  # was in flight when a pool broke
@@ -471,10 +474,11 @@ class Executor:
         """Supervised batch execution; never raises for per-spec failures.
 
         Cache hits are served without touching a scheduler; identical specs
-        within the batch simulate once and fan the result out; the remainder
-        runs supervised on the configured backend. Each fresh result's wire
-        is checkpointed into the cache the moment it completes, so an
-        interrupted batch resumes from where it died.
+        within the batch simulate once and share one result object, which
+        callers must treat as read-only; the remainder runs supervised on
+        the configured backend. Each fresh result's wire is checkpointed
+        into the cache the moment it completes, so an interrupted batch
+        resumes from where it died.
         """
         specs = list(specs)
         self.stats.batches += 1
@@ -486,13 +490,9 @@ class Executor:
             key_indices.setdefault(spec.content_hash(), []).append(index)
         self.stats.deduplicated += len(specs) - len(key_indices)
 
-        def fan_out(key: str, wire: dict, first: RunResult) -> None:
-            # One decode per cell: the decode that validated *wire* serves
-            # the first cell, each duplicate decodes its own (no aliasing).
-            indices = key_indices[key]
-            results[indices[0]] = first
-            for index in indices[1:]:
-                results[index] = result_from_wire(wire)
+        def fan_out(key: str, result: RunResult) -> None:
+            for index in key_indices[key]:
+                results[index] = result
 
         for key, indices in key_indices.items():
             spec = specs[indices[0]]
@@ -503,7 +503,7 @@ class Executor:
             cached = self._cache_get(spec)
             if cached is not None:
                 self.stats.cache_hits += 1
-                fan_out(key, *cached)
+                fan_out(key, cached)
                 continue
             if self.cache is not None:
                 self.stats.cache_misses += 1
@@ -518,13 +518,18 @@ class Executor:
         if tasks:
             batch_started = time.perf_counter()
 
-            def on_success(task: _Task, wire: dict, seconds: float) -> None:
-                # Decode first: a wire that fails to decode settles as
-                # cache-corrupt and is never cached.
-                result = result_from_wire(wire)
+            def on_success(task: _Task, result, seconds: float) -> None:
+                # A pool worker's wire is decoded first: one that fails to
+                # decode settles as cache-corrupt and is never cached. An
+                # in-process result is encoded only to be cached.
+                wire = None
+                if not isinstance(result, RunResult):
+                    wire, result = result, result_from_wire(result)
                 self.stats.runs_executed += 1
                 self.stats.run_seconds += seconds
                 if self.cache is not None:
+                    if wire is None:
+                        wire = result_to_wire(result)
                     before_gc = self.cache.stats.quota_evictions
                     try:
                         # Checkpoint immediately: a later crash in this batch
@@ -539,7 +544,7 @@ class Executor:
                     if evicted:
                         self.stats.cache_gc_evictions += evicted
                         self._note_governor("cache_gc_evictions", evicted)
-                fan_out(task.key, wire, result)
+                fan_out(task.key, result)
 
             failures_by_key.update(self._execute_batch(tasks, on_success))
             if telemetry_runtime.enabled():
@@ -564,7 +569,7 @@ class Executor:
         )
 
     # ----------------------------------------------------------- supervision
-    def _cache_get(self, spec: RunSpec) -> tuple[dict, RunResult] | None:
+    def _cache_get(self, spec: RunSpec) -> RunResult | None:
         if self.cache is None:
             return None
         before = self.cache.stats.evictions
@@ -725,7 +730,7 @@ class Executor:
                         retry.append(task)
                     continue
                 try:
-                    future = pool.submit(_pool_worker, task.wire)
+                    future = pool.submit(_pool_worker, task.spec.to_wire())
                 except Exception:
                     # The pool broke before this task ever ran: it is
                     # innocent — requeue it and let the in-flight futures

@@ -3,12 +3,14 @@
 Results must cross process boundaries (the executor's process-pool backend)
 and cache round-trips without drift, so every record type serializes to a
 fixed-order JSON array and reconstructs to an equal dataclass. The executor
-decodes *every* result from its wire once per submitted cell, so a cache hit,
-a pool result, and a fresh local run are indistinguishable to callers.
-
-``extra`` is canonicalized on the way in (tuples become lists) because JSON
-has no tuple type; scheduler and fault hooks only store JSON-able scalars,
-mappings, and sequences there.
+uses the wire only where a result leaves or enters the process: a pool
+worker's return and a cache write are encoded, and each is decoded once per
+unique spec. An in-process run hands back the result it built. A cache hit,
+a pool result and a fresh local run are still indistinguishable to callers,
+because a fresh result already equals its decoded form, types included:
+scheduler and fault hooks store only JSON-native scalars, lists and
+str-keyed dicts in ``extra``. ``extra`` is still canonicalized on the way
+in (tuples become lists), so a stray tuple cannot corrupt a wire.
 """
 
 from __future__ import annotations
@@ -128,10 +130,11 @@ def result_to_wire(result: RunResult) -> dict:
 
 
 def result_from_wire(wire: dict) -> RunResult:
-    """Reconstruct a run result from its wire, sharing no mutable object.
+    """Reconstruct a run result from its wire.
 
-    Rows unpack positionally into the real constructors, so their checks
-    run; any malformed wire, nested payloads included, raises ValueError.
+    ``extra`` is taken from the wire as is, not copied. Rows unpack
+    positionally into the real constructors, so their checks run; any
+    malformed wire, nested payloads included, raises ValueError.
     """
     try:
         schema = wire.get("schema")
@@ -155,7 +158,7 @@ def result_from_wire(wire: dict) -> RunResult:
             render_busy_ns=wire["render_busy_ns"],
             gpu_busy_ns=wire["gpu_busy_ns"],
             scheduler_overhead_ns=wire["scheduler_overhead_ns"],
-            extra=jsonable(wire["extra"]),
+            extra=wire["extra"],
             telemetry=(
                 None if telemetry is None else TelemetrySnapshot.from_dict(telemetry)
             ),
@@ -164,14 +167,16 @@ def result_from_wire(wire: dict) -> RunResult:
         raise ValueError(f"malformed RunResult wire: {exc!r}") from exc
 
 
-def ok_envelope(result_wire: dict, seconds: float) -> dict:
-    """Wrap a worker's successful result wire for the pool boundary.
+def ok_envelope(result: dict | RunResult, seconds: float) -> dict:
+    """Wrap a successful attempt's result for the settle step.
 
-    Workers never raise across the pool: success and failure both travel as
-    tagged envelopes, so a custom exception that does not pickle (or pickles
-    to something that re-raises on load) can never poison the pool protocol.
+    A pool worker's result is its wire; in-process it is the ``RunResult``
+    itself. Workers never raise across the pool: success and failure both
+    travel as tagged envelopes, so a custom exception that does not pickle
+    (or pickles to something that re-raises on load) can never poison the
+    pool protocol.
     """
-    return {"ok": True, "result": result_wire, "seconds": seconds}
+    return {"ok": True, "result": result, "seconds": seconds}
 
 
 def error_envelope(kind: str, message: str, traceback_text: str | None) -> dict:
@@ -182,13 +187,3 @@ def error_envelope(kind: str, message: str, traceback_text: str | None) -> dict:
         "message": message,
         "traceback": traceback_text,
     }
-
-
-def normalize_result(result: RunResult) -> RunResult:
-    """Round-trip a result through the wire form.
-
-    Guarantees cross-backend uniformity: callers always observe results as
-    they look after deserialization (e.g. tuples in ``extra`` become lists),
-    whether the run was fresh, pooled, or served from the cache.
-    """
-    return result_from_wire(result_to_wire(result))

@@ -217,5 +217,5 @@ class DegradationWatchdog:
             "repromotions": self.repromotions,
             "time_in_degraded_ns": time_degraded,
             "degraded_at_end": self.degraded,
-            "events": [(e.time, e.action, e.reason) for e in self.events],
+            "events": [[e.time, e.action, e.reason] for e in self.events],
         }

@@ -33,13 +33,11 @@ from typing import Sequence
 
 from repro.errors import ConfigurationError
 from repro.exec.executor import Executor, execute_spec
-from repro.exec.serialize import normalize_result
 from repro.exec.spec import RunSpec, canonical_json
 from repro.fuzz.corpus import entry_from_finding, save_entry
 from repro.fuzz.generator import SpecGenerator
 from repro.fuzz.relations import Relation, relations_by_name
 from repro.fuzz.shrinker import Shrinker, knob_delta, spec_delta_summary
-from repro.pipeline.scheduler_base import RunResult
 
 #: Bump when the findings-file layout changes.
 FINDINGS_SCHEMA_VERSION = 1
@@ -219,12 +217,6 @@ class FuzzCampaign:
             generator if generator is not None else SpecGenerator(self.seed)
         )
 
-    # ------------------------------------------------------------- execution
-    @staticmethod
-    def _execute(spec: RunSpec) -> RunResult:
-        """In-process probe execution, normalized like batch results."""
-        return normalize_result(execute_spec(spec))
-
     @property
     def source(self) -> str:
         return f"fuzz seed={self.seed} budget={self.budget}"
@@ -287,7 +279,7 @@ class FuzzCampaign:
                 continue  # probe failed; already recorded above
             pairs_checked += 1
             try:
-                detail = relation.check(spec, results, self._execute)
+                detail = relation.check(spec, results, execute_spec)
             except Exception as exc:
                 emit(
                     Finding(
@@ -321,7 +313,7 @@ class FuzzCampaign:
         shrunk = shrunk_detail = None
         delta = summary = corpus_path = None
         if self.shrink:
-            shrinker = Shrinker(relation, self._execute)
+            shrinker = Shrinker(relation, execute_spec)
             shrunk, shrunk_detail, delta = shrinker.shrink(spec, detail)
             summary = spec_delta_summary(spec, shrunk)
         else:

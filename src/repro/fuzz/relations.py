@@ -44,8 +44,8 @@ from repro.exec.spec import RunSpec, canonical_json
 from repro.pipeline.scheduler_base import RunResult
 
 #: Signature of the in-process execution hook ``check`` receives: spec in,
-#: normalized (wire round-tripped) result out. Exceptions propagate; the
-#: campaign converts them into ``evaluation-crash`` findings.
+#: result out (a fresh result equals its wire round trip). Exceptions
+#: propagate; the campaign converts them into ``evaluation-crash`` findings.
 ExecuteFn = Callable[[RunSpec], RunResult]
 
 
@@ -242,7 +242,7 @@ class CacheRoundTrip(Relation):
             hit = cache.get(spec)
             if hit is None:
                 return "cache.put followed by cache.get missed"
-            if canonical_json(result_to_wire(hit[1])) != reference:
+            if canonical_json(result_to_wire(hit)) != reference:
                 return "cache round-trip is not byte-identity"
         return None
 

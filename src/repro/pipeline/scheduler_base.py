@@ -353,7 +353,7 @@ class SchedulerBase(abc.ABC):
         )
         if self.hal.contained_errors:
             result.extra["contained_exceptions"] = [
-                (c.time, c.listener, c.error) for c in self.hal.contained_errors
+                [c.time, c.listener, c.error] for c in self.hal.contained_errors
             ]
         self._finalize_result(result)
         if recording:

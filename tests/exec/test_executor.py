@@ -16,7 +16,7 @@ from repro.exec.executor import (
     set_default_executor,
     using_executor,
 )
-from repro.exec.serialize import normalize_result, result_to_wire
+from repro.exec.serialize import result_to_wire
 from repro.exec.spec import DriverSpec, RunSpec
 
 
@@ -37,7 +37,7 @@ def test_run_matches_direct_execution():
     spec = _spec()
     with Executor(jobs=1) as executor:
         pooled = executor.run(spec)
-    direct = normalize_result(execute_spec(spec))
+    direct = execute_spec(spec)
     assert result_to_wire(pooled) == result_to_wire(direct)
 
 
@@ -171,8 +171,7 @@ def test_cache_stores_and_serves_the_wire(tmp_path):
     wire = result_to_wire(execute_spec(spec))
     cache = ResultCache(tmp_path)
     cache.put(spec, wire)
-    loaded, result = cache.get(spec)
-    assert loaded == wire
+    result = cache.get(spec)
     assert result_to_wire(result) == wire
     assert cache.stats.hits == 1
 
@@ -192,27 +191,38 @@ def _count_wire_calls(monkeypatch) -> collections.Counter:
     return counts
 
 
+#: ``(backend, pass) -> (decodes, encodes in this process)`` for ``[a, b, a]``.
+#: Only a result that crosses a boundary touches the wire: a pool worker's
+#: return or a cache entry is decoded once per unique spec, and an
+#: in-process result is encoded only to be written to the cache.
+_WIRE_CALLS = {
+    ("inprocess", "cold"): (0, 2),
+    ("inprocess", "uncached"): (0, 0),
+    ("inprocess", "warm"): (2, 0),
+    ("process", "cold"): (2, 0),
+    ("process", "warm"): (2, 0),
+}
+
+
 @pytest.mark.parametrize("backend", ["inprocess", "process"])
-def test_each_cell_is_decoded_once(tmp_path, monkeypatch, backend):
+def test_each_unique_spec_is_decoded_at_most_once(tmp_path, monkeypatch, backend):
     specs = [_spec("once-a"), _spec("once-b"), _spec("once-a")]
     jobs = 2 if backend == "process" else 1
     counts = _count_wire_calls(monkeypatch)
-    for warm in (False, True):
+    passes = ["cold", "warm"] + (["uncached"] if backend == "inprocess" else [])
+    for name in passes:
         counts.clear()
+        cache = name != "uncached"
         with Executor(
-            jobs=jobs, backend=backend, cache=True, cache_dir=tmp_path
+            jobs=jobs, backend=backend, cache=cache, cache_dir=tmp_path
         ) as executor:
             results = executor.map(specs)
-            assert executor.stats.cache_hits == (2 if warm else 0)
-        assert counts["result_from_wire"] == len(specs)
-        # Pool workers encode in their own processes; the parent encodes
-        # only what it simulates itself.
-        simulated_here = 2 if backend == "inprocess" and not warm else 0
-        assert counts["result_to_wire"] == simulated_here
-        assert results[0] == results[2]
-        assert results[0] is not results[2]
-        assert results[0].frames[0] is not results[2].frames[0]
-        assert results[0].extra is not results[2].extra
+            assert executor.stats.cache_hits == (2 if name == "warm" else 0)
+        decodes, encodes = _WIRE_CALLS[backend, name]
+        assert counts["result_from_wire"] == decodes, name
+        assert counts["result_to_wire"] == encodes, name
+        assert results[0] is results[2]
+        assert result_to_wire(results[0]) != result_to_wire(results[1])
 
 
 def test_pool_and_inprocess_write_identical_cache_entries(tmp_path):

@@ -9,12 +9,12 @@ from repro.display.device import PIXEL_5
 from repro.exec.serialize import (
     RESULT_SCHEMA_VERSION,
     jsonable,
-    normalize_result,
     result_from_wire,
     result_to_wire,
 )
 from repro.exec.spec import DriverSpec, RunSpec
 from repro.exec.executor import execute_spec
+from repro.faults.schedule import FaultSchedule
 
 
 def _result(architecture="vsync", faults=None, watchdog=False):
@@ -58,11 +58,35 @@ def test_round_trip_covers_dvsync_extras():
         faults="vsync-jitter(sigma_us=300)",
         watchdog=True,
     )
-    clone = normalize_result(result)
-    assert clone.extra.get("faults") == jsonable(result.extra["faults"])
+    clone = result_from_wire(result_to_wire(result))
+    assert clone.extra.get("faults") == result.extra["faults"]
     assert clone.scheduler == "dvsync"
-    # Normalization is idempotent: a second round-trip changes nothing.
-    assert result_to_wire(clone) == result_to_wire(normalize_result(clone))
+    assert clone == result
+    assert result_to_wire(clone) == result_to_wire(result)
+
+
+@pytest.mark.parametrize("architecture", ["vsync", "dvsync"])
+def test_fault_drill_arms_equal_their_decoded_form(architecture):
+    # The watchdog's event log and the HAL's contained exceptions were once
+    # built as tuples, which a decode turns into lists.
+    dvsync = architecture == "dvsync"
+    spec = RunSpec(
+        driver=DriverSpec.of("repro.faults.drill:drill_driver", scenario="interaction"),
+        device=PIXEL_5,
+        architecture=architecture,
+        buffer_count=None if dvsync else 3,
+        dvsync=DVSyncConfig(buffer_count=4) if dvsync else None,
+        faults=FaultSchedule.parse("standard").describe(),
+        watchdog=dvsync,
+    )
+    result = execute_spec(spec)
+    assert result_from_wire(result_to_wire(result)) == result
+
+
+def test_contained_exceptions_equal_their_decoded_form():
+    result = _result(faults="callback-crash(prob=0.5)")
+    assert result.extra["contained_exceptions"]
+    assert result_from_wire(result_to_wire(result)) == result
 
 
 def test_schema_mismatch_is_rejected():

@@ -19,6 +19,14 @@ which stays running until its deadline expires. Each pool wave starts with
 ``Executor._ensure_pool``, so the machine wraps that method on its executor
 to count a wave's submissions.
 
+Half the machines run with a result cache: a real :class:`ResultCache` in
+a scratch directory whose ``put`` raises ``OSError`` for specs scripted to
+fail their write. A rule overwrites a stored entry with a corrupt one (torn
+JSON, a wrong schema, a malformed frame row). The model tracks which specs
+hold a valid entry: those are hits and never run, a corrupt entry is evicted
+and its spec re-runs and is re-stored, and a failed write keeps the result
+but leaves no entry.
+
 After every batch, a reference model states what each spec must end as,
 given the attempts the fakes served it:
 
@@ -31,11 +39,16 @@ given the attempts the fakes served it:
 * at most ``jobs`` futures are in flight and a wave submits at most
   ``admission`` specs;
 * ``timeout``, ``budget`` and ``oom`` failures are never quarantined, while
-  ``crash`` and ``config`` failures are, and a quarantined spec never runs.
+  ``crash`` and ``config`` failures are, and a quarantined spec never runs;
+* the executor's cache counters (hits, misses, evictions, write errors)
+  match the model's, and the cache holds exactly the entries the model
+  expects, each the wire of its spec's result.
 """
 
 import concurrent.futures
 import json
+import shutil
+import tempfile
 import time
 from concurrent.futures.process import BrokenProcessPool
 from unittest import mock
@@ -47,6 +60,7 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, ru
 from repro.display.device import PIXEL_5
 from repro.errors import BudgetExceededError, ConfigurationError, WorkloadError
 from repro.exec import executor as executor_module
+from repro.exec.cache import ResultCache
 from repro.exec.executor import Executor
 from repro.exec.serialize import result_to_wire
 from repro.exec.spec import DriverSpec, RunSpec
@@ -75,10 +89,21 @@ SCRIPTS = st.one_of(
     st.lists(st.sampled_from(TRANSIENT), min_size=1, max_size=4),
     st.sampled_from(DETERMINISTIC).map(lambda kind: [kind]),
 )
+PICKS = st.integers(min_value=0, max_value=63)
+#: A batch entry: a new spec (its script, and whether its cache write
+#: fails), any earlier spec again, or a spec that holds a cache entry.
 ENTRIES = st.one_of(
-    SCRIPTS.map(lambda script: ("new", script)),
-    st.integers(min_value=0, max_value=63).map(lambda pick: ("again", pick)),
+    st.tuples(SCRIPTS, st.booleans()).map(lambda value: ("new", value)),
+    PICKS.map(lambda pick: ("again", pick)),
+    PICKS.map(lambda pick: ("stored", pick)),
 )
+
+#: Ways a stored entry goes bad; each must read as a miss and be evicted.
+CORRUPTIONS = {
+    "torn": lambda text: text[: len(text) // 2],
+    "schema": lambda text: text.replace('"schema":', '"schema":-1,"was":', 1),
+    "frame-row": lambda text: text.replace('"frames":[]', '"frames":[[0]]', 1),
+}
 
 
 class _Clock:
@@ -162,6 +187,20 @@ class _FakePool:
         pass
 
 
+class _ScriptedCache(ResultCache):
+    """A real cache whose ``put`` fails for specs scripted to fail it."""
+
+    def __init__(self, machine: "SupervisorMachine", root: str) -> None:
+        super().__init__(root, salt="model")
+        self.machine = machine
+
+    def put(self, spec, wire) -> None:
+        name = spec.driver.params["name"]
+        if self.machine.put_fails[name]:
+            raise OSError(f"scripted write failure for {name}")
+        super().put(spec, wire)
+
+
 class SupervisorMachine(RuleBasedStateMachine):
     def __init__(self) -> None:
         super().__init__()
@@ -174,7 +213,11 @@ class SupervisorMachine(RuleBasedStateMachine):
         for patch in self.patches:
             patch.start()
         self.executor = None
+        self.cache_dir = None
         self.scripts: dict[str, list[str]] = {}
+        self.put_fails: dict[str, bool] = {}
+        self.stored: set[str] = set()  # names with a valid cache entry
+        self.corrupt: set[str] = set()  # names whose entry was corrupted
         self.served: dict[str, int] = {}
         self.wires: dict[str, str] = {}
         self.results: dict[str, RunResult] = {}
@@ -187,6 +230,8 @@ class SupervisorMachine(RuleBasedStateMachine):
     def teardown(self) -> None:
         if self.executor is not None:
             self.executor.close()
+        if self.cache_dir is not None:
+            shutil.rmtree(self.cache_dir, ignore_errors=True)
         for patch in reversed(self.patches):
             patch.stop()
 
@@ -241,9 +286,14 @@ class SupervisorMachine(RuleBasedStateMachine):
         retries=st.integers(min_value=0, max_value=2),
         admission=st.integers(min_value=1, max_value=4),
         threshold=st.integers(min_value=1, max_value=4),
+        cached=st.booleans(),
     )
-    def build(self, jobs, backend, retries, admission, threshold):
+    def build(self, jobs, backend, retries, admission, threshold, cached):
         self.retries = retries
+        cache = None
+        if cached:
+            self.cache_dir = tempfile.mkdtemp(prefix="supervisor-model-")
+            cache = _ScriptedCache(self, self.cache_dir)
         self.executor = Executor(
             jobs=jobs,
             backend=backend,
@@ -253,6 +303,7 @@ class SupervisorMachine(RuleBasedStateMachine):
             ),
             breaker_threshold=threshold,
             admission=admission,
+            cache=cache,
         )
         ensure_pool = self.executor._ensure_pool
 
@@ -268,11 +319,13 @@ class SupervisorMachine(RuleBasedStateMachine):
         for kind, value in entries:
             if kind == "new":
                 name = f"spec-{len(self.scripts)}"
-                self.scripts[name] = value
+                self.scripts[name], self.put_fails[name] = value
                 self.served[name] = 0
                 self.results[name] = _result(name)
                 self.wires[name] = _dump(result_to_wire(self.results[name]))
                 names.append(name)
+            elif kind == "stored" and self.stored:
+                names.append(sorted(self.stored)[value % len(self.stored)])
             elif self.scripts:
                 names.append(sorted(self.scripts)[value % len(self.scripts)])
         if not names:
@@ -299,6 +352,8 @@ class SupervisorMachine(RuleBasedStateMachine):
 
         expected_retries = 0
         new_quarantine = 0
+        cache = executor.cache
+        hits = misses = evictions = write_errors = 0
         for name in dict.fromkeys(names):
             indices = [index for index, other in enumerate(names) if other == name]
             records = self.log.get(name, [])
@@ -308,11 +363,27 @@ class SupervisorMachine(RuleBasedStateMachine):
                 assert has_result != (index in outcome.index_failures), (
                     f"index {index} ({name}) must end as one result or one failure"
                 )
+            hit = False
+            if cache is not None and name not in self.quarantine:
+                hit = name in self.stored
+                hits += hit
+                misses += not hit
+                if name in self.corrupt:
+                    evictions += 1
+                    self.corrupt.discard(name)
             if outcome.results[indices[0]] is not None:
                 for index in indices:
                     assert _dump(result_to_wire(outcome.results[index])) == (
                         self.wires[name]
                     )
+                if hit:
+                    assert records == [], "a cache hit never runs"
+                    continue
+                if cache is not None:
+                    if self.put_fails[name]:
+                        write_errors += 1
+                    else:
+                        self.stored.add(name)
                 assert records and records[-1][0] == "ok" and records[-1][1]
                 self._check_retried(charged[:-1])
                 expected_retries += len(charged) - 1
@@ -348,9 +419,24 @@ class SupervisorMachine(RuleBasedStateMachine):
                 new_quarantine += 1
         assert delta.retries == expected_retries
         assert delta.quarantined == new_quarantine
+        assert (delta.cache_hits, delta.cache_misses) == (hits, misses)
+        assert delta.cache_evictions == evictions
+        assert delta.cache_write_errors == write_errors
+        if cache is not None:
+            self._check_cache_holds_stored_wires()
         assert len(outcome.failures) == len(
             {failure.spec_hash for failure in outcome.index_failures.values()}
         )
+
+    @rule(pick=PICKS, how=st.sampled_from(sorted(CORRUPTIONS)))
+    def corrupt_entry(self, pick, how):
+        if self.executor is None or self.executor.cache is None or not self.stored:
+            return
+        name = sorted(self.stored)[pick % len(self.stored)]
+        path = self._entry(name)
+        path.write_text(CORRUPTIONS[how](path.read_text()))
+        self.stored.discard(name)
+        self.corrupt.add(name)
 
     @rule()
     def clear_quarantine(self):
@@ -370,6 +456,17 @@ class SupervisorMachine(RuleBasedStateMachine):
         assert not kinds & {"timeout", "budget", "oom"}
 
     # ---------------------------------------------------------------- model
+    def _entry(self, name: str):
+        cache = self.executor.cache
+        return cache._path(cache.key(_spec(name)))
+
+    def _check_cache_holds_stored_wires(self) -> None:
+        expected = self.stored | self.corrupt
+        assert len(self.executor.cache.entries()) == len(expected)
+        for name in self.stored:
+            stored = json.loads(self._entry(name).read_text())
+            assert _dump(stored) == self.wires[name]
+
     def _retries(self, kind: str, attempts: int) -> bool:
         """Whether the model retries a *kind* failure after *attempts*."""
         cap = self.retries + 1

@@ -6,6 +6,7 @@ and re-simulated; returned by a worker, it must settle as ``cache-corrupt``
 and never reach the cache.
 """
 
+import concurrent.futures
 import copy
 import dataclasses
 import json
@@ -166,6 +167,21 @@ def test_corrupt_cache_entry_is_scrubbed(tmp_path, wire, corruption):
     assert len(cache.entries()) == 1
 
 
+class _InlinePool:
+    """A process pool that runs each submission at once, in this process."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
 @pytest.mark.parametrize("corruption", CORRUPTIONS, ids=lambda c: c.__name__[1:])
 def test_corrupt_worker_wire_settles_as_cache_corrupt(
     tmp_path, monkeypatch, corruption
@@ -177,9 +193,14 @@ def test_corrupt_worker_wire_settles_as_cache_corrupt(
         corruption(broken)
         return broken
 
+    # Only a pool worker's result arrives as a wire; the inline pool runs
+    # the worker here, so it sees the corrupting encoder.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(executor_module, "result_to_wire", corrupting)
     cache = ResultCache(tmp_path)
-    with Executor(jobs=1, cache=cache, policy="keep-going") as executor:
+    with Executor(
+        jobs=2, backend="process", cache=cache, policy="keep-going"
+    ) as executor:
         outcome = executor.map_outcome([_spec()])
     assert outcome.results == [None]
     (failure,) = outcome.failures

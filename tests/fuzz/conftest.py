@@ -29,8 +29,7 @@ def _verification_off():
 
 @pytest.fixture
 def execute():
-    """In-process probe execution, normalized exactly like the campaign's."""
+    """In-process probe execution, exactly like the campaign's."""
     from repro.exec.executor import execute_spec
-    from repro.exec.serialize import normalize_result
 
-    return lambda spec: normalize_result(execute_spec(spec))
+    return execute_spec

@@ -14,7 +14,7 @@ import json
 from repro.core.config import DVSyncConfig
 from repro.display.device import MATE_60_PRO, PIXEL_5
 from repro.exec.executor import Executor, execute_spec
-from repro.exec.serialize import normalize_result, result_to_wire
+from repro.exec.serialize import result_from_wire, result_to_wire
 from repro.exec.spec import DriverSpec, RunSpec
 
 FAULT_CLAUSES = (
@@ -55,8 +55,8 @@ def test_equal_specs_hash_equally_and_rerun_identically():
     for spec in _grid()[:4]:
         clone = RunSpec.from_wire(json.loads(json.dumps(spec.to_wire())))
         assert clone.content_hash() == spec.content_hash()
-        first = result_to_wire(normalize_result(execute_spec(spec)))
-        second = result_to_wire(normalize_result(execute_spec(clone)))
+        first = result_to_wire(execute_spec(spec))
+        second = result_to_wire(execute_spec(clone))
         assert first == second, spec.describe()
 
 
@@ -88,9 +88,9 @@ def test_cache_hit_is_bit_identical_to_fresh_run(tmp_path):
 
 def test_deserialized_result_survives_double_round_trip():
     spec = _grid()[1]
-    result = normalize_result(execute_spec(spec))
+    result = result_from_wire(result_to_wire(execute_spec(spec)))
     wire = result_to_wire(result)
     text = json.dumps(wire, sort_keys=True)
     assert json.dumps(
-        result_to_wire(normalize_result(result)), sort_keys=True
+        result_to_wire(result_from_wire(result_to_wire(result))), sort_keys=True
     ) == text

@@ -18,7 +18,7 @@ from repro.display.device import MATE_60_PRO, PIXEL_5
 from repro.errors import BudgetExceededError
 from repro.exec.executor import Executor, execute_spec
 from repro.exec.governor import ResourceBudget, measure_run_events
-from repro.exec.serialize import normalize_result, result_to_wire
+from repro.exec.serialize import result_to_wire
 from repro.exec.spec import DriverSpec, RunSpec
 
 
@@ -53,7 +53,7 @@ def test_any_event_budget_below_natural_count_trips_deterministically(
     device, architecture, target_fdps, duration_ms, cap_fraction
 ):
     spec = _spec(device, architecture, target_fdps, duration_ms)
-    baseline = result_to_wire(normalize_result(execute_spec(spec)))
+    baseline = result_to_wire(execute_spec(spec))
     natural = measure_run_events(spec)
     assert natural >= 2, "generated runs must be long enough to budget"
     cap = max(1, min(natural - 1, round(natural * cap_fraction)))
@@ -74,7 +74,7 @@ def test_any_event_budget_below_natural_count_trips_deterministically(
 
     # lifting the budget restores the byte-identical unbudgeted result
     relaxed = dataclasses.replace(capped, budget=None)
-    assert result_to_wire(normalize_result(execute_spec(relaxed))) == baseline
+    assert result_to_wire(execute_spec(relaxed)) == baseline
 
 
 @settings(max_examples=8, deadline=None)
