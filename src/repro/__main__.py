@@ -244,14 +244,6 @@ def main(argv: list[str] | None = None) -> int:
         ),
     )
     parser.add_argument(
-        "--shed",
-        action="store_true",
-        help=(
-            "load-shedding: skip study cells marked sheddable (extra "
-            "repetitions, sweep edges) instead of executing them"
-        ),
-    )
-    parser.add_argument(
         "--cache-stats",
         action="store_true",
         help=(
@@ -356,7 +348,6 @@ def main(argv: list[str] | None = None) -> int:
         retries=args.retries,
         policy=args.policy,
         budget=budget,
-        shed=args.shed,
     )
     set_default_executor(executor)
 

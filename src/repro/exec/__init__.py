@@ -24,7 +24,7 @@ Runs are also *governed*: a :class:`ResourceBudget` on the spec (or the
 executor) bounds simulator events and sim-time deterministically, caps
 worker address space (``MemoryError`` → failure kind ``oom``), and puts the
 result cache under an LRU disk quota; the executor adds bounded wave
-admission and study load-shedding (see :mod:`repro.exec.governor`).
+admission (see :mod:`repro.exec.governor`).
 """
 
 from repro.exec.cache import CacheStats, ResultCache, code_salt

@@ -25,8 +25,8 @@ or ``keep-going`` (return ``None`` holes) policy on top. Results checkpoint
 into the cache as they complete, so a killed batch resumes where it died.
 
 A module-level *default executor* carries the CLI's ``--jobs``/``--no-cache``
-choices down to the experiment modules without threading a parameter through
-every ``run()`` signature. Library and test use defaults to a hermetic
+choices down to the experiment studies without threading a parameter through
+every ``study()`` signature. Library and test use defaults to a hermetic
 executor: in-process, no cache. ``REPRO_JOBS``, ``REPRO_EXEC_BACKEND``,
 ``REPRO_CACHE=1``, ``REPRO_TIMEOUT`` and ``REPRO_RETRIES`` configure the
 default from the environment (the CI tier-1 job runs the suite under
@@ -51,6 +51,8 @@ from repro.exec.governor import (
     ResourceBudget,
     address_space_cap,
     budget_from_env,
+    env_float,
+    env_int,
     guard_for_spec,
 )
 from repro.exec.serialize import (
@@ -212,7 +214,11 @@ def _pool_worker(wire_spec: dict) -> dict:
 
 @dataclasses.dataclass
 class ExecStats:
-    """Cumulative executor observability counters."""
+    """Cumulative executor observability counters.
+
+    The one store for supervision and governance events: the CLI's
+    ``exec:`` lines read it, with telemetry on or off.
+    """
 
     runs_executed: int = 0
     cache_hits: int = 0
@@ -232,7 +238,6 @@ class ExecStats:
     cache_write_errors: int = 0
     budget_trips: int = 0
     ooms: int = 0
-    shed: int = 0
     admission_deferred: int = 0
     cache_gc_evictions: int = 0
 
@@ -268,13 +273,12 @@ class ExecStats:
         if (
             self.budget_trips
             or self.ooms
-            or self.shed
             or self.admission_deferred
             or self.cache_gc_evictions
         ):
             line += (
                 f"; governance: {self.budget_trips} budget trips, "
-                f"{self.ooms} ooms, {self.shed} shed, "
+                f"{self.ooms} ooms, "
                 f"{self.admission_deferred} admission-deferred, "
                 f"{self.cache_gc_evictions} cache GC evictions"
             )
@@ -335,9 +339,6 @@ class Executor:
             wait under backpressure (counted in
             ``ExecStats.admission_deferred``). Defaults to
             ``max(4 * jobs, 16)``; unbounded fan-out is never the default.
-        shed: Load-shedding policy flag read by the study layer: when set,
-            cells a study marked ``sheddable`` are skipped instead of
-            executed (see :func:`repro.study.core.execute_studies`).
     """
 
     def __init__(
@@ -352,7 +353,6 @@ class Executor:
         breaker_threshold: int = 3,
         budget: ResourceBudget | None = None,
         admission: int | None = None,
-        shed: bool = False,
     ) -> None:
         self.jobs = jobs if jobs is not None else (os.cpu_count() or 1)
         if self.jobs < 1:
@@ -370,7 +370,6 @@ class Executor:
         elif admission < 1:
             raise ConfigurationError(f"admission must be >= 1, got {admission}")
         self.admission = admission
-        self.shed = bool(shed)
         if cache is True:
             quota = budget.cache_quota_bytes if budget is not None else None
             self.cache: ResultCache | None = ResultCache(
@@ -427,7 +426,6 @@ class Executor:
         with contextlib.suppress(Exception):
             pool.shutdown(wait=False, cancel_futures=True)
         self.stats.pool_respawns += 1
-        self._note("pool_respawns")
 
     def close(self) -> None:
         """Shut down the worker pool (idempotent)."""
@@ -539,11 +537,9 @@ class Executor:
                         # A full disk or permission flip must not abort the
                         # batch mid-wave: the result stands, merely uncached.
                         self.stats.cache_write_errors += 1
-                        self._note("cache_write_errors")
                     evicted = self.cache.stats.quota_evictions - before_gc
                     if evicted:
                         self.stats.cache_gc_evictions += evicted
-                        self._note_governor("cache_gc_evictions", evicted)
                 fan_out(task.key, result)
 
             failures_by_key.update(self._execute_batch(tasks, on_success))
@@ -577,16 +573,7 @@ class Executor:
         evicted = self.cache.stats.evictions - before
         if evicted:
             self.stats.cache_evictions += evicted
-            self._note("cache_evictions", evicted)
         return hit
-
-    def _note(self, name: str, amount: float = 1.0) -> None:
-        if telemetry_runtime.enabled():
-            telemetry_runtime.note_exec(name, amount)
-
-    def _note_governor(self, name: str, amount: float = 1.0) -> None:
-        if telemetry_runtime.enabled():
-            telemetry_runtime.note_governor(name, amount)
 
     def _settle_failure_or_retry(
         self,
@@ -606,16 +593,12 @@ class Executor:
         """
         if kind == "timeout":
             self.stats.timeouts += 1
-            self._note("timeouts")
         elif kind == "crash":
             self.stats.crashes += 1
-            self._note("crashes")
         elif kind == "budget":
             self.stats.budget_trips += 1
-            self._note_governor("budget_trips")
         elif kind == "oom":
             self.stats.ooms += 1
-            self._note_governor("ooms")
         max_attempts = self.retry.max_attempts
         if kind == "oom":
             # oom retries once, without cap escalation: the first failure may
@@ -628,7 +611,6 @@ class Executor:
             and task.attempts < max_attempts
         ):
             self.stats.retries += 1
-            self._note("retries")
             task.resume_at = time.monotonic() + self.retry.delay_s(
                 task.key, task.attempts
             )
@@ -643,7 +625,6 @@ class Executor:
         )
         failures[task.key] = failure
         self.stats.failures += 1
-        self._note("failures")
         # Policy-knob failures (timeout/budget/oom) never quarantine: the
         # quarantine key (content_hash) is deliberately blind to timeout_s
         # and budget, so a failure caused by an allowance must not outlive
@@ -654,7 +635,6 @@ class Executor:
         if kind not in NON_QUARANTINE_KINDS and task.key not in self._quarantine:
             self._quarantine[task.key] = failure
             self.stats.quarantined += 1
-            self._note("quarantined")
         return False
 
     def _settle_envelope(self, task, envelope, failures, on_success) -> bool:
@@ -777,7 +757,6 @@ class Executor:
                 wave, pending = pending[: self.admission], pending[self.admission:]
                 if pending:
                     self.stats.admission_deferred += len(pending)
-                    self._note_governor("admission_deferred", len(pending))
             else:
                 # Crash suspects run one per pool so a broken pool
                 # attributes the crash to exactly one spec.
@@ -866,39 +845,8 @@ class Executor:
 _default_executor: Executor | None = None
 
 
-def _env_int(name: str, default: int | None, minimum: int) -> int | None:
-    """Parse an integer environment knob, failing loudly at construction."""
-    text = os.environ.get(name, "")
-    if not text:
-        return default
-    try:
-        value = int(text)
-    except ValueError:
-        raise ConfigurationError(
-            f"{name} must be an integer, got {text!r}"
-        ) from None
-    if value < minimum:
-        raise ConfigurationError(f"{name} must be >= {minimum}, got {value}")
-    return value
-
-
-def _env_float(name: str, default: float | None) -> float | None:
-    text = os.environ.get(name, "")
-    if not text:
-        return default
-    try:
-        value = float(text)
-    except ValueError:
-        raise ConfigurationError(
-            f"{name} must be a number of seconds, got {text!r}"
-        ) from None
-    if not value > 0:
-        raise ConfigurationError(f"{name} must be > 0 seconds, got {value}")
-    return value
-
-
 def _executor_from_env() -> Executor:
-    jobs = _env_int("REPRO_JOBS", 1, minimum=1)
+    jobs = env_int("REPRO_JOBS", minimum=1, default=1)
     backend = os.environ.get("REPRO_EXEC_BACKEND") or (
         "process" if jobs > 1 else "inprocess"
     )
@@ -909,8 +857,8 @@ def _executor_from_env() -> Executor:
         )
     cache = os.environ.get("REPRO_CACHE", "") == "1"
     cache_dir = os.environ.get("REPRO_CACHE_DIR", DEFAULT_CACHE_DIR)
-    timeout_s = _env_float("REPRO_TIMEOUT", None)
-    retries = _env_int("REPRO_RETRIES", None, minimum=0)
+    timeout_s = env_float("REPRO_TIMEOUT")
+    retries = env_int("REPRO_RETRIES", minimum=0)
     return Executor(
         jobs=jobs,
         backend=backend,

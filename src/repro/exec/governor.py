@@ -17,11 +17,13 @@ Enforcement happens at three layers:
   (:func:`address_space_cap`), so a memory hog dies with a clean
   ``MemoryError`` (failure kind ``oom``) instead of summoning the OS
   OOM-killer onto the whole pool.
-* **Executor** — bounded wave admission, study load-shedding, and a cache
-  disk quota with LRU garbage collection (see ``repro.exec.executor`` and
-  ``repro.exec.cache``).
+* **Executor** — bounded wave admission and a cache disk quota with LRU
+  garbage collection (see ``repro.exec.executor`` and ``repro.exec.cache``).
+  Trips, ooms, deferrals and quota evictions are counted on the executor's
+  :class:`~repro.exec.executor.ExecStats`.
 
-Environment knobs (validated here, loudly, at construction time):
+Environment knobs (validated loudly, at construction time, by
+:func:`env_int` / :func:`env_float`, which the executor's knobs share):
 ``REPRO_MAX_EVENTS``, ``REPRO_MEMORY_MB``, ``REPRO_CACHE_QUOTA_MB``.
 """
 
@@ -299,22 +301,29 @@ def address_space_cap(memory_mb: int | None) -> Iterator[bool]:
 
 
 # ----------------------------------------------------------------- env knobs
-def _env_positive_int(name: str) -> int | None:
+def env_int(name: str, minimum: int, default: int | None = None) -> int | None:
+    """Parse an integer environment knob (*default* when unset or empty).
+
+    Malformed or too-small values raise
+    :class:`~repro.errors.ConfigurationError` naming the variable and the
+    bad value, so a bad knob fails at construction time.
+    """
     text = os.environ.get(name, "")
     if not text:
-        return None
+        return default
     try:
         value = int(text)
     except ValueError:
         raise ConfigurationError(
             f"{name} must be an integer, got {text!r}"
         ) from None
-    if value < 1:
-        raise ConfigurationError(f"{name} must be >= 1, got {value}")
+    if value < minimum:
+        raise ConfigurationError(f"{name} must be >= {minimum}, got {value}")
     return value
 
 
-def _env_positive_float(name: str) -> float | None:
+def env_float(name: str) -> float | None:
+    """Parse a positive-number environment knob (``None`` when unset or empty)."""
     text = os.environ.get(name, "")
     if not text:
         return None
@@ -335,9 +344,9 @@ def budget_from_env() -> ResourceBudget | None:
     quota); malformed values raise
     :class:`~repro.errors.ConfigurationError` at construction time.
     """
-    max_events = _env_positive_int("REPRO_MAX_EVENTS")
-    memory_mb = _env_positive_int("REPRO_MEMORY_MB")
-    cache_quota_mb = _env_positive_float("REPRO_CACHE_QUOTA_MB")
+    max_events = env_int("REPRO_MAX_EVENTS", minimum=1)
+    memory_mb = env_int("REPRO_MEMORY_MB", minimum=1)
+    cache_quota_mb = env_float("REPRO_CACHE_QUOTA_MB")
     if max_events is None and memory_mb is None and cache_quota_mb is None:
         return None
     return ResourceBudget(

@@ -145,11 +145,6 @@ def _analyze_dtv(result: StudyResult, effective_runs: int) -> ExperimentResult:
     )
 
 
-def run_dtv_ablation(runs: int = 3, quick: bool = False) -> ExperimentResult:
-    """Pre-rendering with and without the Display Time Virtualizer."""
-    return dtv_study(runs, quick).run()
-
-
 # --------------------------------------------------------------------- IPL
 def ipl_study(runs: int = 3, quick: bool = False) -> Study:
     """Interactive content error under different IPL predictors.
@@ -225,11 +220,6 @@ def _analyze_ipl(result: StudyResult, labels: list[str]) -> ExperimentResult:
     )
 
 
-def run_ipl_ablation(runs: int = 3, quick: bool = False) -> ExperimentResult:
-    """Interactive content error under different IPL predictors."""
-    return ipl_study(runs, quick).run()
-
-
 # ------------------------------------------------------------- limit sweep
 def limit_study(runs: int = 3, quick: bool = False) -> Study:
     """FDPS as a function of the pre-rendering limit (7-buffer queue)."""
@@ -276,11 +266,6 @@ def _analyze_limit(result: StudyResult, limits) -> ExperimentResult:
             ),
         ],
     )
-
-
-def run_limit_sweep(runs: int = 3, quick: bool = False) -> ExperimentResult:
-    """FDPS as a function of the pre-rendering limit (7-buffer queue)."""
-    return limit_study(runs, quick).run()
 
 
 # -------------------------------------------------------------------- LTPO
@@ -339,11 +324,6 @@ def _analyze_ltpo(result: StudyResult) -> ExperimentResult:
             ),
         ],
     )
-
-
-def run_ltpo_ablation(runs: int = 3, quick: bool = False) -> ExperimentResult:
-    """Rate-mismatched presents with and without the drain rule (§5.3)."""
-    return ltpo_study(runs, quick).run()
 
 
 # ------------------------------------------------------------------ flavor
@@ -423,11 +403,6 @@ def _analyze_flavor(result: StudyResult) -> ExperimentResult:
     )
 
 
-def run_pipeline_flavor(runs: int = 3, quick: bool = False) -> ExperimentResult:
-    """Android-chained vs OpenHarmony VSync-rs render triggering (§2)."""
-    return flavor_study(runs, quick).run()
-
-
 # --------------------------------------------------------------- composite
 def _merge(parts: list[ExperimentResult]) -> ExperimentResult:
     rows = []
@@ -458,8 +433,3 @@ def study(runs: int = 3, quick: bool = False) -> CompositeStudy:
         ],
         combine=_merge,
     )
-
-
-def run(runs: int = 3, quick: bool = False) -> ExperimentResult:
-    """Run all five ablations and merge their reports."""
-    return study(runs=runs, quick=quick).run()

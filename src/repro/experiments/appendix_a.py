@@ -111,8 +111,3 @@ def _analyze(result: StudyResult, scenarios) -> ExperimentResult:
             "generators carry a zero key-frame rate and verify as clean here."
         ),
     )
-
-
-def run(runs: int = 2, quick: bool = False) -> ExperimentResult:
-    """Regenerate the Appendix A reference benchmark."""
-    return study(runs=runs, quick=quick).run()

@@ -1,7 +1,8 @@
 """Common shape for experiment modules.
 
-Every experiment module exposes ``run(runs=..., quick=...) -> ExperimentResult``
-that regenerates one paper artifact: the same rows/series the figure or table
+Every experiment module exposes ``study(runs=..., quick=...)``, a
+:class:`~repro.study.Study` whose ``run()`` regenerates one paper artifact as
+an :class:`ExperimentResult`: the same rows/series the figure or table
 reports, plus a paper-vs-measured block for EXPERIMENTS.md. ``quick=True``
 trims repetitions for benchmark runs; the shape conclusions must hold in both
 modes.

@@ -97,8 +97,3 @@ def _analyze(result: StudyResult, effective_runs: int) -> ExperimentResult:
             ("FDPS reduction (%)", PAPER_REDUCTION, round(pct_reduction(avg_v, avg_d), 1)),
         ],
     )
-
-
-def run(runs: int = 3, quick: bool = False) -> ExperimentResult:
-    """Regenerate the §6.6 numbers."""
-    return study(runs=runs, quick=quick).run()

@@ -104,8 +104,3 @@ def _analyze(study_result: StudyResult) -> ExperimentResult:
             ),
         ],
     )
-
-
-def run(runs: int = 1, quick: bool = False) -> ExperimentResult:
-    """Regenerate the §6.4 cost accounting."""
-    return study(runs=runs, quick=quick).run()

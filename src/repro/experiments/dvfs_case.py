@@ -138,8 +138,3 @@ def _analyze(result: StudyResult, effective_runs: int) -> ExperimentResult:
             "absorbs the stretched frames."
         ),
     )
-
-
-def run(runs: int = 3, quick: bool = False) -> ExperimentResult:
-    """Run the governor under both architectures' deadline budgets."""
-    return study(runs=runs, quick=quick).run()

@@ -53,8 +53,3 @@ def _build(count: int) -> ExperimentResult:
             "frames that cause stutters despite triple buffering."
         ),
     )
-
-
-def run(runs: int = 1, quick: bool = False) -> ExperimentResult:
-    """Regenerate the Fig 1 CDF."""
-    return study(runs=runs, quick=quick).run()

@@ -32,8 +32,3 @@ def _build() -> ExperimentResult:
             ("growth factor since 2010", f"~{PAPER_GROWTH_FACTOR:.0f}x", f"{growth_factor():.1f}x"),
         ],
     )
-
-
-def run(runs: int = 1, quick: bool = False) -> ExperimentResult:
-    """Regenerate the Fig 3 series."""
-    return study(runs=runs, quick=quick).run()

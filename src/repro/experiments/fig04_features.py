@@ -67,8 +67,3 @@ def _build(samples: int) -> ExperimentResult:
             "growth §3.1 blames for VSync's struggles."
         ),
     )
-
-
-def run(runs: int = 1, quick: bool = False) -> ExperimentResult:
-    """Regenerate the Fig 4 trend."""
-    return study(runs=runs, quick=quick).run()

@@ -79,8 +79,3 @@ def _analyze(result: StudyResult, configs) -> ExperimentResult:
             "over total display slots."
         ),
     )
-
-
-def run(runs: int = 2, quick: bool = False) -> ExperimentResult:
-    """Regenerate the Fig 5 summary."""
-    return study(runs=runs, quick=quick).run()

@@ -75,8 +75,3 @@ def _analyze(result: StudyResult, scenarios) -> ExperimentResult:
             ),
         ],
     )
-
-
-def run(runs: int = 2, quick: bool = False) -> ExperimentResult:
-    """Regenerate the Fig 6 stacked bars."""
-    return study(runs=runs, quick=quick).run()

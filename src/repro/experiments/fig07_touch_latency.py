@@ -103,8 +103,3 @@ def _analyze(result: StudyResult, effective_runs: int) -> ExperimentResult:
             "gesture, before the input history supports a fit."
         ),
     )
-
-
-def run(runs: int = 4, quick: bool = False) -> ExperimentResult:
-    """Regenerate the Fig 7 lag measurement (plus the D-VSync arm)."""
-    return study(runs=runs, quick=quick).run()

@@ -103,8 +103,3 @@ def _analyze(result: StudyResult) -> ExperimentResult:
             "runtime controller; everything else rides the decoupled channel."
         ),
     )
-
-
-def run(runs: int = 3, quick: bool = False) -> ExperimentResult:
-    """Regenerate the Fig 9 coverage measurement."""
-    return study(runs=runs, quick=quick).run()

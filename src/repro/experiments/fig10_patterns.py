@@ -81,8 +81,3 @@ def _analyze(result: StudyResult) -> ExperimentResult:
             "the pre-rendered buffers."
         ),
     )
-
-
-def run(runs: int = 1, quick: bool = False) -> ExperimentResult:
-    """Regenerate the Fig 10 runtime-trace comparison."""
-    return study(runs=runs, quick=quick).run()

@@ -105,8 +105,3 @@ def _analyze(result: StudyResult, scenarios) -> ExperimentResult:
             "matching the paper's analysis."
         ),
     )
-
-
-def run(runs: int = 3, quick: bool = False) -> ExperimentResult:
-    """Regenerate the Fig 11 bars."""
-    return study(runs=runs, quick=quick).run()

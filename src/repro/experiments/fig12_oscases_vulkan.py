@@ -66,8 +66,3 @@ def _analyze(result: StudyResult, scenarios) -> ExperimentResult:
             ),
         ],
     )
-
-
-def run(runs: int = 3, quick: bool = False) -> ExperimentResult:
-    """Regenerate the Fig 12 bars."""
-    return study(runs=runs, quick=quick).run()

@@ -96,8 +96,3 @@ def _analyze(result: StudyResult, panels) -> ExperimentResult:
         rows=rows,
         comparisons=comparisons,
     )
-
-
-def run(runs: int = 3, quick: bool = False) -> ExperimentResult:
-    """Regenerate both Fig 13 panels."""
-    return study(runs=runs, quick=quick).run()

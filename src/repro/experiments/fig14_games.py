@@ -110,8 +110,3 @@ def _analyze(result: StudyResult, specs) -> ExperimentResult:
             "decoupling-aware channel applied to recorded traces, as in §6.1."
         ),
     )
-
-
-def run(runs: int = 3, quick: bool = False) -> ExperimentResult:
-    """Regenerate the Fig 14 bars."""
-    return study(runs=runs, quick=quick).run()

@@ -117,8 +117,3 @@ def _analyze(result: StudyResult, devices) -> ExperimentResult:
             "pipeline with buffer stuffing eliminated."
         ),
     )
-
-
-def run(runs: int = 2, quick: bool = False) -> ExperimentResult:
-    """Regenerate the Fig 15 per-device latency summary."""
-    return study(runs=runs, quick=quick).run()

@@ -88,8 +88,3 @@ def _analyze(result: StudyResult, effective_runs: int) -> ExperimentResult:
             ("paper's modelled ZDP cost (µs)", PAPER_ZDP_OVERHEAD_US, expected_zdp_overhead_us()),
         ],
     )
-
-
-def run(runs: int = 3, quick: bool = False) -> ExperimentResult:
-    """Regenerate the Fig 16 panels."""
-    return study(runs=runs, quick=quick).run()

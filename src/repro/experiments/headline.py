@@ -73,8 +73,3 @@ def _combine(parts: list[ExperimentResult]) -> ExperimentResult:
             ("latency reduction (%)", PAPER_LATENCY_REDUCTION, round(latency_reduction, 1)),
         ],
     )
-
-
-def run(runs: int = 2, quick: bool = False) -> ExperimentResult:
-    """Regenerate the headline averages from the underlying experiments."""
-    return study(runs=runs, quick=quick).run()

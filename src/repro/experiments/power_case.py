@@ -124,8 +124,3 @@ def _analyze(result: StudyResult, effective_runs: int) -> ExperimentResult:
             "the little-core scheduler overhead, against the device baseline."
         ),
     )
-
-
-def run(runs: int = 3, quick: bool = False) -> ExperimentResult:
-    """Regenerate the §6.7 power/instruction accounting."""
-    return study(runs=runs, quick=quick).run()

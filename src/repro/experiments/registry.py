@@ -44,41 +44,37 @@ from repro.experiments.runner import DEFAULT_RUNS
 from repro.study import Study, StudyStats, execute_studies
 from repro.telemetry import runtime as telemetry_runtime
 
-_MODULES = {
-    "fig01": fig01_cdf,
-    "fig03": fig03_pixels,
-    "fig04": fig04_features,
-    "fig05": fig05_fd_summary,
-    "fig06": fig06_frame_distribution,
-    "fig07": fig07_touch_latency,
-    "fig09": fig09_scope,
-    "fig10": fig10_patterns,
-    "fig11": fig11_apps_fdps,
-    "fig12": fig12_oscases_vulkan,
-    "fig13": fig13_oscases_gles,
-    "fig14": fig14_games,
-    "fig15": fig15_latency,
-    "fig16": fig16_map_case,
-    "tab01": tab01_platforms,
-    "tab02": tab02_stutters,
-    "cost": costs,
-    "power": power_case,
-    "chromium": chromium_case,
-    "appendix": appendix_a,
-    "dvfs": dvfs_case,
-    "ablations": ablations,
-    "headline": headline,
-}
-
-EXPERIMENTS: dict[str, Callable[..., ExperimentResult]] = {
-    key: module.run for key, module in _MODULES.items()
-}
-
-#: ``experiment id -> study(runs=, quick=)`` — the declarative matrices
-#: :func:`run_all` unions into one global batch.
+#: ``experiment id -> study(runs=, quick=)``, in report order: every paper
+#: artifact's declarative matrix. :func:`run_experiment` runs one;
+#: :func:`run_all` unions them into one global batch.
 STUDIES: dict[str, Callable[..., Study]] = {
-    key: module.study for key, module in _MODULES.items()
+    "fig01": fig01_cdf.study,
+    "fig03": fig03_pixels.study,
+    "fig04": fig04_features.study,
+    "fig05": fig05_fd_summary.study,
+    "fig06": fig06_frame_distribution.study,
+    "fig07": fig07_touch_latency.study,
+    "fig09": fig09_scope.study,
+    "fig10": fig10_patterns.study,
+    "fig11": fig11_apps_fdps.study,
+    "fig12": fig12_oscases_vulkan.study,
+    "fig13": fig13_oscases_gles.study,
+    "fig14": fig14_games.study,
+    "fig15": fig15_latency.study,
+    "fig16": fig16_map_case.study,
+    "tab01": tab01_platforms.study,
+    "tab02": tab02_stutters.study,
+    "cost": costs.study,
+    "power": power_case.study,
+    "chromium": chromium_case.study,
+    "appendix": appendix_a.study,
+    "dvfs": dvfs_case.study,
+    "ablations": ablations.study,
+    "headline": headline.study,
 }
+
+#: Every experiment id, in report order.
+EXPERIMENTS: tuple[str, ...] = tuple(STUDIES)
 
 #: Stats of the most recent :func:`run_all` union submission (observability;
 #: the CLI's study progress line reads this).
@@ -97,15 +93,15 @@ def run_experiment(
     table/comparison content is unaffected by cache state or parallelism.
     """
     try:
-        runner = EXPERIMENTS[experiment_id]
+        build = STUDIES[experiment_id]
     except KeyError:
         raise ReproError(
-            f"unknown experiment {experiment_id!r}; known: {sorted(EXPERIMENTS)}"
+            f"unknown experiment {experiment_id!r}; known: {sorted(STUDIES)}"
         ) from None
     executor = get_default_executor()
     before = executor.stats.snapshot()
     started = time.perf_counter()
-    result = runner(runs=runs, quick=quick)
+    result = build(runs=runs, quick=quick).run()
     elapsed = time.perf_counter() - started
     delta = executor.stats.since(before)
     if delta.total_requests:

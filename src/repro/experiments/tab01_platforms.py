@@ -41,8 +41,3 @@ def _build() -> ExperimentResult:
             ("Mate 60 Pro period (ms)", 8.3, round(to_ms(ALL_DEVICES[2].vsync_period), 1)),
         ],
     )
-
-
-def run(runs: int = 1, quick: bool = False) -> ExperimentResult:
-    """Regenerate Table 1."""
-    return study(runs=runs, quick=quick).run()

@@ -154,8 +154,3 @@ def _analyze(result: StudyResult, tasks, effective_runs: int) -> ExperimentResul
             "refreshes, or a single miss during above-JND motion."
         ),
     )
-
-
-def run(runs: int = 3, quick: bool = False) -> ExperimentResult:
-    """Regenerate Table 2."""
-    return study(runs=runs, quick=quick).run()

@@ -2,15 +2,17 @@
 
 See :mod:`repro.study.core` for the model. Quick sketch::
 
-    from repro.study import Study
+    from repro.display.device import PIXEL_5
     from repro.experiments.runner import scenario_spec
+    from repro.study import Study
+    from repro.workloads.android_apps import app_scenarios
 
     study = Study("buffer-sweep", analyze=my_analysis)
     study.grid(
         lambda scenario, buffers, rep: scenario_spec(
-            SCENARIOS[scenario], "dvsync", buffer_count=buffers, run=rep
+            scenario, PIXEL_5, "dvsync", run=rep, buffer_count=buffers
         ),
-        scenario=["genshin", "maps"],
+        scenario=app_scenarios()[:2],
         buffers=[3, 4, 5],
         rep=range(5),
     )

@@ -32,7 +32,6 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 from repro.errors import ConfigurationError, ExecutionError
 from repro.exec.spec import RunSpec
 from repro.exec.supervisor import RunFailure
-from repro.telemetry import runtime as telemetry_runtime
 
 #: A cell key: the coordinates as a sorted, hashable tuple of pairs.
 Key = tuple[tuple[str, Any], ...]
@@ -54,9 +53,6 @@ class Cell:
     coords: dict[str, Any]
     spec: RunSpec | None = None
     thunk: Callable[[], Any] | None = None
-    #: Load-shedding consent: a sheddable spec cell may be skipped (not
-    #: executed, not a failure) when the executor runs under a shed policy.
-    sheddable: bool = False
 
     def __post_init__(self) -> None:
         if (self.spec is None) == (self.thunk is None):
@@ -80,7 +76,6 @@ class StudyStats:
     unique_specs: int = 0
     dedup_hits: int = 0
     holes: int = 0
-    shed: int = 0
 
     def describe(self) -> str:
         line = (
@@ -91,8 +86,6 @@ class StudyStats:
         )
         if self.holes:
             line += f", {self.holes} failure holes"
-        if self.shed:
-            line += f", {self.shed} shed"
         return line
 
 
@@ -125,17 +118,9 @@ class Study:
         self._keys.add(cell.key)
         self.cells.append(cell)
 
-    def add(self, spec: RunSpec, *, sheddable: bool = False, **coords: Any) -> "Study":
-        """Add one spec cell at the given coordinates.
-
-        ``sheddable=True`` marks the cell as load-sheddable: when the
-        executor runs under a shed policy (``Executor(shed=True)`` /
-        ``repro --shed``), the cell is skipped instead of executed — its
-        value stays ``None`` without counting as a failure hole. Use it for
-        nice-to-have grid points (extra repetitions, wide sweeps' edges)
-        that a resource-constrained run may drop.
-        """
-        self._add_cell(Cell(coords=coords, spec=spec, sheddable=sheddable))
+    def add(self, spec: RunSpec, **coords: Any) -> "Study":
+        """Add one spec cell at the given coordinates."""
+        self._add_cell(Cell(coords=coords, spec=spec))
         return self
 
     def add_live(self, thunk: Callable[[], Any], **coords: Any) -> "Study":
@@ -210,12 +195,7 @@ class CompositeStudy(Study):
         for index, part in enumerate(self.parts):
             for cell in part.cells:
                 coords = {**cell.coords, "study": f"{index}:{part.name}"}
-                flat = Cell(
-                    coords=coords,
-                    spec=cell.spec,
-                    thunk=cell.thunk,
-                    sheddable=cell.sheddable,
-                )
+                flat = Cell(coords=coords, spec=cell.spec, thunk=cell.thunk)
                 self._add_cell(flat)
                 self._part_cells[flat.key] = (index, cell)
 
@@ -223,23 +203,14 @@ class CompositeStudy(Study):
         """Re-key the composite's executed cells into per-part results."""
         values: list[dict[Key, Any]] = [{} for _ in self.parts]
         failures: list[dict[Key, RunFailure]] = [{} for _ in self.parts]
-        shed: list[set[Key]] = [set() for _ in self.parts]
         for cell in self.cells:
             index, part_cell = self._part_cells[cell.key]
             values[index][part_cell.key] = result.values.get(cell.key)
             failure = result.failures.get(cell.key)
             if failure is not None:
                 failures[index][part_cell.key] = failure
-            if cell.key in result.shed:
-                shed[index].add(part_cell.key)
         return [
-            StudyResult(
-                part,
-                values[index],
-                failures[index],
-                stats=result.stats,
-                shed=shed[index],
-            )
+            StudyResult(part, values[index], failures[index], stats=result.stats)
             for index, part in enumerate(self.parts)
         ]
 
@@ -261,9 +232,9 @@ class StudyResult:
     :class:`~repro.pipeline.scheduler_base.RunResult` for spec cells,
     whatever the thunk returned for live cells, or ``None`` for a *failure
     hole* (a spec that failed under the ``keep-going`` policy; the
-    structured record is in ``failures[key]``). Cells skipped by load
-    shedding also hold ``None`` but are tracked in ``shed`` — deliberately
-    not executed, so never reported as failure holes.
+    structured record is in ``failures[key]``). ``stats`` is the
+    :class:`StudyStats` of the execution that produced it (for a union, the
+    whole union's), the one store of study counters.
     """
 
     def __init__(
@@ -272,13 +243,11 @@ class StudyResult:
         values: dict[Key, Any],
         failures: dict[Key, RunFailure] | None = None,
         stats: StudyStats | None = None,
-        shed: set[Key] | None = None,
     ) -> None:
         self.study = study
         self.values = values
         self.failures = failures or {}
         self.stats = stats or StudyStats()
-        self.shed = shed or set()
 
     # ------------------------------------------------------------- selection
     def cells(self, **coords: Any) -> list[Cell]:
@@ -300,17 +269,11 @@ class StudyResult:
         return self.values.get(matched[0].key)
 
     def holes(self, **coords: Any) -> list[tuple[Cell, RunFailure | None]]:
-        """Cells whose run failed, with their structured failure records.
-
-        Shed cells are excluded: skipping was a policy decision, not a
-        failure.
-        """
+        """Cells whose run failed, with their structured failure records."""
         return [
             (cell, self.failures.get(cell.key))
             for cell in self.cells(**coords)
-            if self.values.get(cell.key) is None
-            and cell.spec is not None
-            and cell.key not in self.shed
+            if self.values.get(cell.key) is None and cell.spec is not None
         ]
 
     # ----------------------------------------------------------- aggregation
@@ -390,29 +353,15 @@ def execute_studies(
     flat_specs: list[RunSpec] = []
     owners: list[tuple[int, Cell]] = []  # aligned with flat_specs
     stats = StudyStats(studies=len(studies))
-    shed_policy = bool(getattr(executor, "shed", False))
-    shed_keys: list[set[Key]] = [set() for _ in studies]
     for index, study in enumerate(studies):
         for cell in study.cells:
             stats.cells += 1
             if cell.spec is not None:
-                if shed_policy and cell.sheddable:
-                    # Load shedding: the cell consented to being dropped
-                    # under pressure — never submitted, never a failure.
-                    stats.shed += 1
-                    shed_keys[index].add(cell.key)
-                    continue
                 stats.spec_cells += 1
                 flat_specs.append(cell.spec)
                 owners.append((index, cell))
             else:
                 stats.live_cells += 1
-    if stats.shed:
-        exec_stats = getattr(executor, "stats", None)
-        if exec_stats is not None:
-            exec_stats.shed += stats.shed
-        if telemetry_runtime.enabled():
-            telemetry_runtime.note_governor("shed", stats.shed)
 
     stats.unique_specs = len({spec.content_hash() for spec in flat_specs})
     stats.dedup_hits = len(flat_specs) - stats.unique_specs
@@ -428,7 +377,6 @@ def execute_studies(
                 failures[index][cell.key] = failure
                 stats.holes += 1
         if outcome.failures and executor.policy == "fail-fast":
-            _note_study_stats(stats)
             outcome.raise_for_failures()
 
     for index, study in enumerate(studies):
@@ -436,24 +384,10 @@ def execute_studies(
             if cell.thunk is not None:
                 values[index][cell.key] = cell.thunk()
 
-    _note_study_stats(stats)
     return (
         [
-            StudyResult(
-                study,
-                values[index],
-                failures[index],
-                stats=stats,
-                shed=shed_keys[index],
-            )
+            StudyResult(study, values[index], failures[index], stats=stats)
             for index, study in enumerate(studies)
         ],
         stats,
     )
-
-
-def _note_study_stats(stats: StudyStats) -> None:
-    if telemetry_runtime.enabled():
-        telemetry_runtime.note_study("cells", stats.cells)
-        telemetry_runtime.note_study("dedup_hits", stats.dedup_hits)
-        telemetry_runtime.note_study("holes", stats.holes)

@@ -11,14 +11,16 @@ pooled, or served from the result cache.
 
 The collector also keeps the per-experiment perf trajectory (wall seconds,
 executor activity, simulated events) that ``--all`` writes to
-``BENCH_telemetry.json``.
+``BENCH_telemetry.json``. Supervision, governance and study counters are not
+mirrored here: they live only in
+:class:`~repro.exec.executor.ExecStats` and
+:class:`~repro.study.StudyStats`, which count with telemetry on or off.
 """
 
 from __future__ import annotations
 
 import dataclasses
 
-from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.session import NULL_TELEMETRY, NullTelemetry, Telemetry, TelemetrySnapshot
 
 _enabled = False
@@ -65,9 +67,6 @@ class Collector:
         self.experiments: list[ExperimentProfile] = []
         self.batch_seconds = 0.0
         self.batches = 0
-        #: Supervision counters (``exec.retries``, ``exec.timeouts``,
-        #: ``exec.pool_respawns``, ...) published by the executor.
-        self.exec_metrics = MetricsRegistry()
 
     def add_snapshot(self, snapshot: TelemetrySnapshot) -> None:
         self.snapshots.append(snapshot)
@@ -101,7 +100,6 @@ class Collector:
         self.experiments.clear()
         self.batch_seconds = 0.0
         self.batches = 0
-        self.exec_metrics = MetricsRegistry()
 
 
 _collector = Collector()
@@ -122,44 +120,6 @@ def collect(snapshot: TelemetrySnapshot | None) -> None:
     """
     if snapshot is not None and _enabled:
         _collector.add_snapshot(snapshot)
-
-
-def note_exec(name: str, amount: float = 1.0) -> None:
-    """Increment the ``exec.<name>`` supervision counter.
-
-    Like :func:`collect`, a no-op unless the process opted in — the executor
-    keeps its own :class:`~repro.exec.executor.ExecStats` unconditionally;
-    these counters are the telemetry-facing view of the same events.
-    """
-    if _enabled:
-        _collector.exec_metrics.counter(f"exec.{name}").inc(amount)
-
-
-def note_study(name: str, amount: float = 1.0) -> None:
-    """Increment the ``study.<name>`` sweep counter.
-
-    Published by :func:`repro.study.execute_studies` when a matrix goes out:
-    ``study.cells`` (grid points executed), ``study.dedup_hits`` (spec cells
-    collapsed by content hash before submission), ``study.holes`` (keep-going
-    failure holes). A no-op unless the process opted in.
-    """
-    if _enabled:
-        _collector.exec_metrics.counter(f"study.{name}").inc(amount)
-
-
-def note_governor(name: str, amount: float = 1.0) -> None:
-    """Increment the ``governor.<name>`` resource-governance counter.
-
-    Published by the executor's governance layer: ``governor.budget_trips``
-    (deterministic ResourceBudget trips), ``governor.ooms`` (MemoryError
-    under the worker address-space cap), ``governor.shed`` (sheddable study
-    cells skipped under ``--shed``), ``governor.admission_deferred``
-    (submissions held back at a wave boundary), and
-    ``governor.cache_gc_evictions`` (entries the cache disk quota reclaimed).
-    A no-op unless the process opted in.
-    """
-    if _enabled:
-        _collector.exec_metrics.counter(f"governor.{name}").inc(amount)
 
 
 def reset() -> None:

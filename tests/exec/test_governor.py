@@ -424,7 +424,7 @@ def test_cache_scrub_removes_corrupt_entries(tmp_path):
     assert cache.get(bad) is None
 
 
-# ------------------------------------------------- admission and shedding
+# ------------------------------------------------------------- admission
 def test_admission_deferral_bounds_in_flight_waves():
     specs = [_burst(f"admit-{index}") for index in range(5)]
     with Executor(
@@ -436,26 +436,3 @@ def test_admission_deferral_bounds_in_flight_waves():
         assert executor.stats.admission_deferred == 4
     with pytest.raises(ConfigurationError, match="admission"):
         Executor(jobs=1, admission=0)
-
-
-def test_sheddable_cells_are_skipped_under_shed_policy():
-    from repro.study.core import Study
-
-    def build():
-        study = Study("shed-test")
-        study.add(_burst("shed-keep"), point="keep")
-        study.add(_burst("shed-drop"), point="drop", sheddable=True)
-        return study
-
-    with Executor(jobs=1, shed=True) as executor:
-        result = build().execute(executor=executor)
-        assert executor.stats.shed == 1
-    assert result.get(point="keep") is not None
-    assert result.get(point="drop") is None
-    assert result.holes() == []  # a shed cell is not a failure hole
-    assert (("point", "drop"),) in result.shed
-
-    with Executor(jobs=1, shed=False) as executor:
-        result = build().execute(executor=executor)
-        assert executor.stats.shed == 0
-    assert result.get(point="drop") is not None  # no shed policy: it runs

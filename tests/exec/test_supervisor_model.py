@@ -53,7 +53,7 @@ import time
 from concurrent.futures.process import BrokenProcessPool
 from unittest import mock
 
-from hypothesis import HealthCheck, settings
+from hypothesis import HealthCheck, Phase, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
@@ -526,5 +526,9 @@ SupervisorMachine.TestCase.settings = settings(
     derandomize=True,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
+    # The explain phase replays the shrunk failure many times to annotate
+    # it, which takes most of a failing run's wall time; the shrunk
+    # counterexample alone is what a failure report needs.
+    phases=[phase for phase in Phase if phase is not Phase.explain],
 )
 test_supervisor_model = SupervisorMachine.TestCase

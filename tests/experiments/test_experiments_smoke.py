@@ -138,9 +138,9 @@ def test_fig04_feature_trend(results):
 
 
 def test_pipeline_flavor_ablation():
-    from repro.experiments.ablations import run_pipeline_flavor
+    from repro.experiments.ablations import flavor_study
 
-    result = run_pipeline_flavor(quick=True)
+    result = flavor_study(quick=True).run()
     ratio = result.measured("OH/Android baseline FDPS ratio")
     assert 0.5 < ratio < 2.0
     assert result.measured("VSync-rs edge slips observed") > 0

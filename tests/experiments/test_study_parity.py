@@ -33,7 +33,8 @@ def _golden(experiment_id: str) -> dict:
 @pytest.fixture(scope="module")
 def quick_results():
     return {
-        key: module.run(runs=2, quick=True) for key, module in MODULES.items()
+        key: module.study(runs=2, quick=True).run()
+        for key, module in MODULES.items()
     }
 
 

@@ -244,11 +244,10 @@ def test_study_telemetry_counters(executor):
         study.add(shared, rep=0)
         study.add(shared, rep=1)
         study.add_live(lambda: 1, rep=2)
-        study.execute(executor=executor)
-        metrics = telemetry_runtime.collector().exec_metrics
-        assert metrics.counter("study.cells").value == 3
-        assert metrics.counter("study.dedup_hits").value == 1
-        assert metrics.counter("study.holes").value == 0
+        result = study.execute(executor=executor)
+        assert result.stats.cells == 3
+        assert result.stats.dedup_hits == 1
+        assert result.stats.holes == 0
     finally:
         telemetry_runtime.set_enabled(False)
         telemetry_runtime.reset()

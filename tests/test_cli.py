@@ -124,7 +124,6 @@ def test_governance_flags_reach_the_executor(tmp_path, capsys, monkeypatch):
                 "5000000",
                 "--memory-mb",
                 "8192",
-                "--shed",
             ]
         )
         == 0
