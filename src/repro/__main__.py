@@ -296,6 +296,9 @@ def main(argv: list[str] | None = None) -> int:
         ),
     )
     args = parser.parse_args(argv)
+    unknown = [key for key in args.ids if key not in EXPERIMENTS]
+    if unknown:
+        parser.error(f"unknown experiment id(s) {', '.join(unknown)}; see --list")
 
     recording = args.trace is not None or args.profile
     if recording:

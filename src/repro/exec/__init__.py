@@ -23,8 +23,9 @@ batch returns partial results instead of losing everything to one bad spec
 Runs are also *governed*: a :class:`ResourceBudget` on the spec (or the
 executor) bounds simulator events and sim-time deterministically, caps
 worker address space (``MemoryError`` → failure kind ``oom``), and puts the
-result cache under an LRU disk quota; the executor adds bounded wave
-admission (see :mod:`repro.exec.governor`).
+result cache under an LRU disk quota (see :mod:`repro.exec.governor`).
+A batch streams through one queue into at most ``jobs`` pool slots, so the
+pool width is the one bound on work in flight.
 """
 
 from repro.exec.cache import CacheStats, ResultCache, code_salt

@@ -72,9 +72,9 @@ def chaos_driver(
     ``config`` throws a :class:`~repro.errors.ConfigurationError` (the
     never-retried kind); ``sleep`` stalls for *delay_s* before building,
     simulating a run that blows its deadline; ``kill`` SIGKILLs the worker
-    process mid-build — but only inside a pool worker (it refuses to kill a
-    process with no parent, so a mistargeted spec cannot take down the
-    harness itself).
+    process mid-build, after *delay_s* — but only inside a pool worker (it
+    refuses to kill a process with no parent, so a mistargeted spec cannot
+    take down the harness itself).
 
     Build-time misbehavior is the honest analogue of run-time misbehavior
     here: :func:`~repro.exec.executor.execute_spec` runs builder and
@@ -89,7 +89,7 @@ def chaos_driver(
         raise WorkloadError(f"chaos driver {name!r} raised on request")
     if mode == "config":
         raise ConfigurationError(f"chaos driver {name!r} rejected on request")
-    if mode == "sleep" and delay_s > 0:
+    if mode in ("sleep", "kill") and delay_s > 0:
         time.sleep(delay_s)
     if mode == "kill":
         if multiprocessing.parent_process() is None:

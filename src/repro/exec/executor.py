@@ -14,10 +14,11 @@ with seeded-deterministic exponential backoff, a dead worker
 and the culprit is identified by isolation rather than guessed — and a
 circuit breaker degrades the executor to the in-process backend after
 repeated pool failures, mirroring the degradation watchdog's D-VSync→VSync
-fallback. Both backends run one wave loop (``Executor._execute_batch``) and
-one exception → envelope function (:func:`_attempt`): the in-process
-backend is the loop's width-1 case with no pool, and a tripped breaker
-sends the remaining waves down that same path. Failed specs become structured
+fallback. Both backends run one streaming loop (``Executor._execute_batch``),
+fed by one queue, and one exception → envelope function (:func:`_attempt`):
+the process backend keeps at most ``jobs`` attempts in flight, the in-process
+backend is the loop's width-1 case with no pool, and a tripped breaker sends
+the rest of the queue down that same path. Failed specs become structured
 :class:`~repro.exec.supervisor.RunFailure` records: :meth:`Executor.map_outcome`
 always returns partial results plus failures, and :meth:`Executor.map`
 applies the ``fail-fast`` (raise :class:`~repro.errors.BatchExecutionError`)
@@ -238,6 +239,8 @@ class ExecStats:
     cache_write_errors: int = 0
     budget_trips: int = 0
     ooms: int = 0
+    # Never incremented: a batch streams through one queue. Kept only
+    # because the benchmark harness still reads it.
     admission_deferred: int = 0
     cache_gc_evictions: int = 0
 
@@ -270,16 +273,10 @@ class ExecStats:
                 f"{self.timeouts} timeouts, {self.crashes} crashes, "
                 f"{self.pool_respawns} pool respawns"
             )
-        if (
-            self.budget_trips
-            or self.ooms
-            or self.admission_deferred
-            or self.cache_gc_evictions
-        ):
+        if self.budget_trips or self.ooms or self.cache_gc_evictions:
             line += (
                 f"; governance: {self.budget_trips} budget trips, "
                 f"{self.ooms} ooms, "
-                f"{self.admission_deferred} admission-deferred, "
                 f"{self.cache_gc_evictions} cache GC evictions"
             )
         return line
@@ -301,6 +298,10 @@ class _Task:
 
 class Executor:
     """Maps batches of RunSpecs to RunResults, in parallel, cached, supervised.
+
+    A batch streams through one queue into at most ``jobs`` worker slots
+    (one slot in-process): a freed slot takes the next runnable task at
+    once, and a retry rejoins the queue behind its backoff.
 
     Args:
         jobs: Worker count for the process backend; defaults to
@@ -327,18 +328,14 @@ class Executor:
             after salvaging and caching every healthy sibling) or
             ``"keep-going"`` (:meth:`map` returns partial results with
             ``None`` holes; failures accumulate on :attr:`last_failures`).
-        breaker_threshold: Consecutive pool-level failures before the
-            circuit breaker degrades this executor to in-process execution.
+        breaker_threshold: Consecutive pool breaks, with no pool attempt
+            returning an envelope in between, before the circuit breaker
+            degrades this executor to in-process execution.
         budget: Default :class:`~repro.exec.governor.ResourceBudget` applied
             to every spec that does not carry its own; like ``timeout_s`` it
             is execution policy (excluded from content hashes). Its
             ``cache_quota_mb`` also sizes the default on-disk cache's LRU
             quota when ``cache=True``.
-        admission: Submission high-water mark for the process backend — at
-            most this many tasks enter a supervision wave at once, the rest
-            wait under backpressure (counted in
-            ``ExecStats.admission_deferred``). Defaults to
-            ``max(4 * jobs, 16)``; unbounded fan-out is never the default.
     """
 
     def __init__(
@@ -352,7 +349,6 @@ class Executor:
         policy: str = "fail-fast",
         breaker_threshold: int = 3,
         budget: ResourceBudget | None = None,
-        admission: int | None = None,
     ) -> None:
         self.jobs = jobs if jobs is not None else (os.cpu_count() or 1)
         if self.jobs < 1:
@@ -365,11 +361,6 @@ class Executor:
             )
         self.backend = backend
         self.budget = budget
-        if admission is None:
-            admission = max(4 * self.jobs, 16)
-        elif admission < 1:
-            raise ConfigurationError(f"admission must be >= 1, got {admission}")
-        self.admission = admission
         if cache is True:
             quota = budget.cache_quota_bytes if budget is not None else None
             self.cache: ResultCache | None = ResultCache(
@@ -535,7 +526,7 @@ class Executor:
                         self.cache.put(task.spec, wire)
                     except OSError:
                         # A full disk or permission flip must not abort the
-                        # batch mid-wave: the result stands, merely uncached.
+                        # batch: the result stands, merely uncached.
                         self.stats.cache_write_errors += 1
                     evicted = self.cache.stats.quota_evictions - before_gc
                     if evicted:
@@ -673,41 +664,55 @@ class Executor:
         # byte-identical across reruns with the same retry seed.
         return f"run exceeded its {task.timeout_s:g}s deadline"
 
-    # ------------------------------------------------------ the wave loop
+    # ---------------------------------------------------- the supervision loop
     def _execute_batch(self, tasks, on_success) -> dict[str, RunFailure]:
-        """Supervise *tasks* in waves until each ends as a result or failure.
+        """Supervise *tasks* from one queue until each ends as a result or failure.
 
-        A pooled wave submits to the process pool, at most ``jobs`` futures
-        in flight. The in-process backend is the same loop at width one with
-        no pool: each attempt runs on the task's own spec and settles
-        synchronously inside ``dispatch()``. A retry joins the next wave.
+        The process backend keeps at most ``jobs`` futures in flight and
+        refills a freed slot before it settles the attempt that freed it,
+        unless crash suspects are waiting. The in-process backend, and a
+        tripped breaker, are the same loop at width one with no pool: each
+        attempt settles before the next one starts. A retry rejoins the
+        queue and runs once its backoff has elapsed. After a pool break or a
+        stuck worker the loop submits nothing more, lets the in-flight
+        futures drain and respawns the pool; crash suspects run one at a
+        time, each alone on the pool, once the queue is empty.
         """
         failures: dict[str, RunFailure] = {}
-        pending: list[_Task] = list(tasks)
+        queue: collections.deque[_Task] = collections.deque(tasks)
         suspects: collections.deque[_Task] = collections.deque()
+        in_flight: dict[concurrent.futures.Future, _Task] = {}
+        deadlines: dict[concurrent.futures.Future, float] = {}
+        broken: list[_Task] = []  # in flight when the pool died
+        broke = False  # the pool died: drain, then respawn
+        stuck = False  # a timed-out worker still occupies a slot: likewise
 
-        def dispatch() -> None:
+        def requeue(task: _Task) -> None:
+            (suspects if task.suspect else queue).append(task)
+
+        def fill(pool) -> None:
             # In-flight submissions are capped at the pool width, so a
             # submitted task holds a worker slot immediately: its deadline
             # clock starts when it can actually execute, never while queued
-            # behind wave siblings — the same semantics as the in-process
+            # behind batch siblings — the same semantics as the in-process
             # backend, which measures only execution time.
             nonlocal broke
-            while queue and len(not_done) < self.jobs:
-                if broke or stuck:
-                    # The pool needs a respawn; hand unsubmitted tasks back
-                    # untouched (no attempt charged) rather than queue them
-                    # behind a dead or occupied slot.
-                    retry.append(queue.popleft())
-                    continue
-                task = queue.popleft()
-                delay = task.resume_at - time.monotonic()
-                if delay > 0:
-                    time.sleep(delay)
+            width = 1 if pool is None else self.jobs
+            while len(in_flight) < width and not (broke or stuck):
+                now = time.monotonic()
+                task = next((task for task in queue if task.resume_at <= now), None)
+                if task is not None:
+                    queue.remove(task)
+                elif pool is not None and suspects and not queue and not in_flight:
+                    # A suspect runs alone, so a pool that breaks under it
+                    # attributes the crash to exactly one spec.
+                    task = suspects.popleft()
+                else:
+                    return
                 if pool is None:
                     envelope = _attempt(task.spec)
                     if self._settle_envelope(task, envelope, failures, on_success):
-                        retry.append(task)
+                        requeue(task)
                     continue
                 try:
                     future = pool.submit(_pool_worker, task.spec.to_wire())
@@ -716,14 +721,38 @@ class Executor:
                     # innocent — requeue it and let the in-flight futures
                     # identify the culprit.
                     broke = True
-                    retry.append(task)
-                    continue
-                futures[future] = task
-                not_done.add(future)
+                    requeue(task)
+                    return
+                in_flight[future] = task
                 if task.timeout_s is not None:
                     deadlines[future] = time.monotonic() + task.timeout_s
 
-        while pending or suspects:
+        while queue or suspects or in_flight or broke or stuck:
+            if (broke or stuck) and not in_flight:
+                if broke:
+                    self.breaker.record_failure()
+                self._respawn_pool(terminate=True)
+                if broke and len(broken) == 1:
+                    # Exactly one spec was in flight when the pool died —
+                    # that is the culprit; charge the crash to it.
+                    task = broken[0]
+                    task.suspect = True
+                    task.attempts += 1
+                    if self._settle_failure_or_retry(
+                        task,
+                        "crash",
+                        "worker process died while executing this spec "
+                        "(killed or crashed outside Python)",
+                        None,
+                        failures,
+                    ):
+                        suspects.append(task)
+                else:
+                    for task in broken:
+                        task.suspect = True
+                        suspects.append(task)
+                broken.clear()
+                broke = stuck = False
             pooled = (
                 self.backend == "process"
                 and self.jobs > 1
@@ -748,96 +777,57 @@ class Executor:
                         allow_retry=False,
                     )
                 suspects.clear()
-                wave, pending = pending, []
-            elif pending:
-                # Bounded admission: at most `admission` tasks enter a wave;
-                # the remainder waits under backpressure instead of fanning
-                # out an unbounded future set (and, on a broken pool, an
-                # unbounded suspect set).
-                wave, pending = pending[: self.admission], pending[self.admission:]
-                if pending:
-                    self.stats.admission_deferred += len(pending)
-            else:
-                # Crash suspects run one per pool so a broken pool
-                # attributes the crash to exactly one spec.
-                wave = [suspects.popleft()]
             pool = self._ensure_pool() if pooled else None
-            queue = collections.deque(wave)
-            futures: dict[concurrent.futures.Future, _Task] = {}
-            deadlines: dict[concurrent.futures.Future, float] = {}
-            not_done: set[concurrent.futures.Future] = set()
-            retry: list[_Task] = []
-            broken: list[_Task] = []  # in flight when the pool died
-            broke = False  # the pool died mid-wave
-            stuck = False  # a timed-out worker is still occupying a slot
-            dispatch()
-            while not_done:
-                wait_s = None
-                active = [deadlines[f] for f in not_done if f in deadlines]
-                if active:
-                    wait_s = max(0.0, min(active) - time.monotonic())
-                done, not_done = concurrent.futures.wait(
-                    not_done, timeout=wait_s,
-                    return_when=concurrent.futures.FIRST_COMPLETED,
-                )
-                for future in done:
-                    task = futures[future]
-                    try:
-                        envelope = future.result()
-                    except concurrent.futures.BrokenExecutor:
-                        broke = True
-                        broken.append(task)
-                        continue
-                    if self._settle_envelope(task, envelope, failures, on_success):
-                        retry.append(task)
-                now = time.monotonic()
-                for future in [
-                    f for f in not_done if f in deadlines and deadlines[f] <= now
-                ]:
-                    not_done.discard(future)
-                    task = futures[future]
-                    if not future.cancel():
-                        # The worker is mid-run and cannot be preempted; the
-                        # loop terminates and respawns the pool to reclaim
-                        # the slot.
-                        stuck = True
-                    task.attempts += 1
-                    if self._settle_failure_or_retry(
-                        task, "timeout", self._timeout_message(task), None, failures
-                    ):
-                        retry.append(task)
-                dispatch()
-            if pooled:
-                if broke:
-                    self.breaker.record_failure()
-                else:
-                    self.breaker.record_success()
-                if broke or stuck:
-                    self._respawn_pool(terminate=True)
-                if broke and len(broken) == 1:
-                    # Exactly one spec was in flight when the pool died —
-                    # that is the culprit; charge the crash to it.
-                    task = broken[0]
-                    task.suspect = True
-                    task.attempts += 1
-                    if self._settle_failure_or_retry(
-                        task,
-                        "crash",
-                        "worker process died while executing this spec "
-                        "(killed or crashed outside Python)",
-                        None,
-                        failures,
-                    ):
-                        suspects.append(task)
-                else:
-                    for task in broken:
-                        task.suspect = True
-                        suspects.append(task)
-            for task in retry:
-                if task.suspect:
-                    suspects.append(task)
-                else:
-                    pending.append(task)
+            fill(pool)
+            if not in_flight:
+                if queue and not (broke or stuck):
+                    # Every queued task is backing off: sleep to the first.
+                    resume_at = min(task.resume_at for task in queue)
+                    time.sleep(max(0.0, resume_at - time.monotonic()))
+                continue
+            wake = list(deadlines.values())
+            if queue and not (broke or stuck) and len(in_flight) < self.jobs:
+                wake.append(min(task.resume_at for task in queue))
+            done, _ = concurrent.futures.wait(
+                in_flight,
+                timeout=max(0.0, min(wake) - time.monotonic()) if wake else None,
+                return_when=concurrent.futures.FIRST_COMPLETED,
+            )
+            finished = []
+            for future in done:
+                task = in_flight.pop(future)
+                deadlines.pop(future, None)
+                try:
+                    finished.append((task, future.result()))
+                except concurrent.futures.BrokenExecutor:
+                    broke = True
+                    broken.append(task)
+                    continue
+                # The breaker's unit of success: a pool attempt that came
+                # back as an envelope, whatever the envelope says.
+                self.breaker.record_success()
+            now = time.monotonic()
+            for future in [f for f, deadline in deadlines.items() if deadline <= now]:
+                task = in_flight.pop(future)
+                del deadlines[future]
+                if not future.cancel():
+                    # The worker is mid-run and cannot be preempted; the
+                    # pool is terminated and respawned once it drains.
+                    stuck = True
+                task.attempts += 1
+                if self._settle_failure_or_retry(
+                    task, "timeout", self._timeout_message(task), None, failures
+                ):
+                    requeue(task)
+            # Refill the freed slots first: the workers run while this
+            # process decodes and checkpoints what they handed back. Not
+            # while suspects wait: one may run only once these attempts
+            # have settled, or a retry they requeue would run beside it.
+            if not suspects:
+                fill(pool)
+            for task, envelope in finished:
+                if self._settle_envelope(task, envelope, failures, on_success):
+                    requeue(task)
         return failures
 
 

@@ -17,9 +17,10 @@ Enforcement happens at three layers:
   (:func:`address_space_cap`), so a memory hog dies with a clean
   ``MemoryError`` (failure kind ``oom``) instead of summoning the OS
   OOM-killer onto the whole pool.
-* **Executor** — bounded wave admission and a cache disk quota with LRU
-  garbage collection (see ``repro.exec.executor`` and ``repro.exec.cache``).
-  Trips, ooms, deferrals and quota evictions are counted on the executor's
+* **Cache** — a disk quota with LRU garbage collection (see
+  ``repro.exec.cache``). Work in flight needs no knob of its own: the
+  executor never has more than ``jobs`` pool futures out. Trips,
+  ooms and quota evictions are counted on the executor's
   :class:`~repro.exec.executor.ExecStats`.
 
 Environment knobs (validated loudly, at construction time, by

@@ -10,7 +10,7 @@ harness:
 * :class:`RetryPolicy` — seeded-deterministic exponential backoff with
   jitter for transient (crash/timeout) failures: the same retry seed yields
   the same delay sequence, which keeps salvage runs byte-reproducible;
-* :class:`CircuitBreaker` — after N *consecutive* process-pool failures the
+* :class:`CircuitBreaker` — after N *consecutive* process-pool breaks the
   executor stops fighting the pool and degrades to the in-process backend,
   mirroring the degradation watchdog's D-VSync→VSync fallback (§4.5);
 * :class:`BatchOutcome` — order-preserving partial results with per-index
@@ -176,13 +176,15 @@ class RetryPolicy:
 
 
 class CircuitBreaker:
-    """Counts consecutive process-backend failures; trips at a threshold.
+    """Counts consecutive process-pool breaks; trips at a threshold.
 
-    A *failure* here is pool-level — a broken process pool, not an individual
-    spec's exception. Once tripped, the executor stops respawning pools and
-    degrades to the in-process backend for the remaining work (the harness
-    analogue of the watchdog demoting D-VSync to classic VSync). Any
-    successful pool wave resets the streak.
+    The unit is the pool attempt. Each pool break (a dead worker, recorded
+    once the attempts in flight with it have drained) adds one to the
+    streak; each pool attempt that returns an envelope resets it, whether
+    the envelope holds a result or a spec's own failure. Once tripped, the
+    executor stops respawning pools and degrades to the in-process backend
+    for the remaining work (the harness analogue of the watchdog demoting
+    D-VSync to classic VSync).
     """
 
     def __init__(self, threshold: int = 3) -> None:

@@ -4,7 +4,7 @@ The acceptance scenarios live here: a budget trip is *deterministic* (the
 same spec + budget fails at the identical simulator event on every backend
 and both engines, with byte-identical failure records), an OOM under the
 worker address-space cap settles into a structured ``oom`` failure without
-killing the pool or poisoning wave siblings, and the cache disk quota holds
+killing the pool or poisoning batch siblings, and the cache disk quota holds
 after every store with LRU eviction that never evicts the entry just
 written.
 """
@@ -422,17 +422,3 @@ def test_cache_scrub_removes_corrupt_entries(tmp_path):
     assert cache.stats.scrubbed == 1
     assert cache.get(good) is not None
     assert cache.get(bad) is None
-
-
-# ------------------------------------------------------------- admission
-def test_admission_deferral_bounds_in_flight_waves():
-    specs = [_burst(f"admit-{index}") for index in range(5)]
-    with Executor(
-        jobs=2, backend="process", policy="keep-going", admission=2
-    ) as executor:
-        outcome = executor.map_outcome(specs)
-        assert all(result is not None for result in outcome.results)
-        # waves of 2: 3 deferred at the first boundary, 1 at the second
-        assert executor.stats.admission_deferred == 4
-    with pytest.raises(ConfigurationError, match="admission"):
-        Executor(jobs=1, admission=0)

@@ -139,6 +139,41 @@ def test_circuit_breaker_degrades_to_inprocess():
         assert executor.stats.pool_respawns == respawns
 
 
+def test_breaker_streak_resets_on_any_returned_pool_attempt():
+    """The breaker counts pool breaks, and a returned attempt clears them.
+
+    Its unit of success is one pool attempt that comes back as an envelope,
+    so a healthy batch between two worker kills restarts the streak, while
+    two kills in a row trip it. The unit is the attempt, not the batch: a
+    healthy spec that returns before its batch sibling kills the pool also
+    restarts it, so that kill counts one, not a second in a row.
+    """
+
+    def run(*batches):
+        with Executor(
+            jobs=2,
+            backend="process",
+            policy="keep-going",
+            retries=0,
+            breaker_threshold=2,
+        ) as executor:
+            for batch in batches:
+                executor.map_outcome(batch)
+            return executor.breaker
+
+    def kill(name, **params):
+        return _chaos(name, mode="kill", **params)
+
+    breaker = run([kill("kill-1")], [_chaos("healthy")], [kill("kill-2")])
+    assert not breaker.tripped
+    assert breaker.consecutive_failures == 1
+    assert run([kill("kill-1")], [kill("kill-2")]).tripped
+    # The delay lets the healthy sibling return well before the kill fires.
+    breaker = run([kill("kill-1")], [_chaos("healthy"), kill("kill-2", delay_s=2.0)])
+    assert not breaker.tripped
+    assert breaker.consecutive_failures == 1
+
+
 def test_breaker_trip_settles_all_suspects_with_retry_budget_left():
     """Every spec in flight at breaker trip yields a failure, never a hole.
 
@@ -191,7 +226,7 @@ def test_timeout_failure_is_not_quarantined():
 
 
 def test_process_deadline_excludes_queue_time():
-    """A healthy spec queued behind wave siblings keeps its full deadline.
+    """A healthy spec queued behind batch siblings keeps its full deadline.
 
     Six 0.3s runs share two workers, so the last pair waits ~0.6s before a
     slot frees up — longer than the 0.5s deadline. The deadline clock must

@@ -10,22 +10,24 @@ spec scripted with one fails that way on every attempt. A transient script
 mixes the other outcomes, and attempts past its end succeed.
 
 The fakes are installed for the life of one machine run by patching
-``concurrent.futures.ProcessPoolExecutor`` and
+``concurrent.futures.ProcessPoolExecutor``, ``concurrent.futures.wait`` and
 ``repro.exec.executor.execute_spec``. The executor's ``time`` module is
-swapped for a clock whose ``perf_counter`` only moves when an in-process
-attempt is scripted to overrun its deadline, so deadline overruns are exact
-on both backends. Pool futures resolve when submitted, except a ``hang``,
-which stays running until its deadline expires. Each pool wave starts with
-``Executor._ensure_pool``, so the machine wraps that method on its executor
-to count a wave's submissions.
+swapped for a fake clock that moves only when the executor sleeps out a
+backoff, when a ``wait`` with nothing finished runs to its timeout, and
+when an in-process attempt is scripted to overrun its deadline, so backoffs
+and deadline overruns are exact on both backends and cost no real time.
+Pool futures resolve when submitted, except a ``hang``, which stays running
+until its deadline expires.
 
 Half the machines run with a result cache: a real :class:`ResultCache` in
 a scratch directory whose ``put`` raises ``OSError`` for specs scripted to
-fail their write. A rule overwrites a stored entry with a corrupt one (torn
-JSON, a wrong schema, a malformed frame row). The model tracks which specs
-hold a valid entry: those are hits and never run, a corrupt entry is evicted
-and its spec re-runs and is re-stored, and a failed write keeps the result
-but leaves no entry.
+fail their write. Half of those caches have a disk quota that holds two
+entries, so stores evict older entries. A rule overwrites a stored entry
+with a corrupt one (torn JSON, a wrong schema, a malformed frame row). The
+model tracks which specs hold a valid entry: those are hits and never run,
+a corrupt entry is evicted and its spec re-runs and is re-stored, a failed
+write keeps the result but leaves no entry, and an entry the quota evicted
+reads as a miss the next time its spec is submitted.
 
 After every batch, a reference model states what each spec must end as,
 given the attempts the fakes served it:
@@ -36,20 +38,25 @@ given the attempts the fakes served it:
   ``config`` and ``cache-corrupt`` get one attempt, ``oom`` is attempted
   at most twice, and ``crash`` and ``timeout`` at most ``retries + 1``
   times;
-* at most ``jobs`` futures are in flight and a wave submits at most
-  ``admission`` specs;
+* at most ``jobs`` futures are in flight, and a crash suspect (a spec in
+  flight when a pool broke) is only ever in flight alone;
+* the loop is work-conserving: with a free slot, it never waits on its
+  futures while a queued task that is not a suspect is past its backoff,
+  nor past the instant one will be, unless it is draining a broken or stuck
+  pool;
 * ``timeout``, ``budget`` and ``oom`` failures are never quarantined, while
   ``crash`` and ``config`` failures are, and a quarantined spec never runs;
 * the executor's cache counters (hits, misses, evictions, write errors)
-  match the model's, and the cache holds exactly the entries the model
-  expects, each the wire of its spec's result.
+  match the model's, the cache holds exactly the entries the model expects
+  less those the quota evicted, each the wire of its spec's result, its
+  quota evictions equal the entries that vanished, and it stays within its
+  quota.
 """
 
 import concurrent.futures
 import json
 import shutil
 import tempfile
-import time
 from concurrent.futures.process import BrokenProcessPool
 from unittest import mock
 
@@ -81,9 +88,11 @@ RETRYABLE = frozenset({"crash", "timeout", "oom"})
 QUARANTINED = frozenset({"crash", "config", "cache-corrupt"})
 BREAKER_MESSAGE = "quarantined by the circuit breaker"
 
-#: Every spec's deadline. A pool ``hang`` costs this much real time; an
+#: Every spec's deadline. A pool ``hang`` runs the fake clock to it; an
 #: in-process ``hang`` moves the fake clock far past it instead.
 TIMEOUT_S = 0.002
+#: A cache quota that holds two of the model's entries (about 415 bytes).
+QUOTA_BYTES = 1000
 
 SCRIPTS = st.one_of(
     st.lists(st.sampled_from(TRANSIENT), min_size=1, max_size=4),
@@ -107,33 +116,42 @@ CORRUPTIONS = {
 
 
 class _Clock:
-    """The executor's ``time`` module, with a scripted ``perf_counter``."""
-
-    monotonic = staticmethod(time.monotonic)
-    sleep = staticmethod(time.sleep)
+    """The executor's ``time`` module: one fake clock for every reading."""
 
     def __init__(self) -> None:
         self.now = 0.0
 
-    def perf_counter(self) -> float:
+    def monotonic(self) -> float:
         return self.now
+
+    perf_counter = monotonic
+
+    def sleep(self, seconds: float) -> None:
+        self.now += seconds
 
 
 class _Future(concurrent.futures.Future):
-    """A future that knows when the executor has let go of it."""
+    """A future that reports to the model when the executor lets go of it."""
 
-    def __init__(self, record: list) -> None:
+    def __init__(self, pool: "_FakePool", name: str, record: list) -> None:
         super().__init__()
+        self.pool = pool
+        self.name = name
         self.record = record
         self.released = False  # result() or cancel() was called
 
     def result(self, timeout=None):
         self.released = True
+        self.pool.machine.note_release(self)
         return super().result(timeout)
 
     def cancel(self) -> bool:
         self.released = True
-        return super().cancel()
+        cancelled = super().cancel()
+        if not cancelled:
+            self.pool.stuck = True  # the worker stays busy until a respawn
+        self.pool.machine.note_release(self)
+        return cancelled
 
 
 class _FakePool:
@@ -144,19 +162,25 @@ class _FakePool:
         self.max_workers = max_workers
         self.futures: list[_Future] = []
         self.broken = False
+        self.stuck = False
 
     def submit(self, fn, wire_spec):
         machine = self.machine
-        machine.note_submit()
         if self.broken:
             raise BrokenProcessPool("a worker died; the pool is unusable")
-        in_flight = sum(not future.released for future in self.futures)
-        if in_flight >= self.max_workers:
+        name = wire_spec["driver"]["params"]["name"]
+        in_flight = [future.name for future in self.futures if not future.released]
+        if len(in_flight) >= self.max_workers:
             machine.violations.append(
-                f"submit with {in_flight} futures in flight, jobs={self.max_workers}"
+                f"submit with {len(in_flight)} futures in flight, "
+                f"jobs={self.max_workers}"
             )
-        record = machine.serve(wire_spec["driver"]["params"]["name"], via_pool=True)
-        future = _Future(record)
+        if in_flight and machine.suspects & {name, *in_flight}:
+            machine.violations.append(
+                f"{name} submitted beside {in_flight}, with a suspect among them"
+            )
+        record = machine.serve(name, via_pool=True)
+        future = _Future(self, name, record)
         self.futures.append(future)
         outcome = record[0]
         if outcome == "hang":
@@ -190,8 +214,10 @@ class _FakePool:
 class _ScriptedCache(ResultCache):
     """A real cache whose ``put`` fails for specs scripted to fail it."""
 
-    def __init__(self, machine: "SupervisorMachine", root: str) -> None:
-        super().__init__(root, salt="model")
+    def __init__(
+        self, machine: "SupervisorMachine", root: str, quota_bytes: int | None
+    ) -> None:
+        super().__init__(root, salt="model", quota_bytes=quota_bytes)
         self.machine = machine
 
     def put(self, spec, wire) -> None:
@@ -207,6 +233,7 @@ class SupervisorMachine(RuleBasedStateMachine):
         self.clock = _Clock()
         self.patches = [
             mock.patch("concurrent.futures.ProcessPoolExecutor", self.make_pool),
+            mock.patch("concurrent.futures.wait", self.wait),
             mock.patch.object(executor_module, "execute_spec", self.execute),
             mock.patch.object(executor_module, "time", self.clock),
         ]
@@ -225,7 +252,14 @@ class SupervisorMachine(RuleBasedStateMachine):
         self.log: dict[str, list[list]] = {}
         self.violations: list[str] = []
         self.pool_outcome = None
-        self.wave_submits = 0
+        self.pools: list[_FakePool] = []
+        # The batch in progress, as the model sees it: the specs it must
+        # run, and which of them are settled, crash suspects, or backing
+        # off until a given instant before their next attempt.
+        self.tasks: set[str] = set()
+        self.settled: set[str] = set()
+        self.suspects: set[str] = set()
+        self.resume_at: dict[str, float] = {}
 
     def teardown(self) -> None:
         if self.executor is not None:
@@ -237,15 +271,56 @@ class SupervisorMachine(RuleBasedStateMachine):
 
     # ---------------------------------------------------------------- fakes
     def make_pool(self, max_workers):
-        return _FakePool(self, max_workers)
+        self.pools.append(_FakePool(self, max_workers))
+        return self.pools[-1]
 
-    def note_submit(self) -> None:
-        self.wave_submits += 1
-        if self.wave_submits > self.executor.admission:
-            self.violations.append(
-                f"wave submitted {self.wave_submits} specs, "
-                f"admission={self.executor.admission}"
+    def note_release(self, future: _Future) -> None:
+        """The executor took *future*'s attempt back: settle or back off."""
+        name = future.name
+        if future.done() and not future.cancelled() and future.exception():
+            self.suspects.add(name)  # in flight when the pool broke
+            return
+        outcome = future.record[0]
+        if outcome == "ok":
+            self.settled.add(name)
+            return
+        kind = KIND_OF[outcome]
+        attempts = sum(record[1] for record in self.log[name])
+        if self._retries(kind, attempts):
+            self.resume_at[name] = self.clock.now + self.executor.retry.delay_s(
+                _spec(name).content_hash(), attempts
             )
+        else:
+            self.settled.add(name)
+
+    def wait(self, futures, timeout=None, return_when=None):
+        """``concurrent.futures.wait`` on the fake clock."""
+        futures = set(futures)
+        done = {future for future in futures if future.done()}
+        pool = self.pools[-1]
+        if len(futures) < self.executor.jobs and not (pool.broken or pool.stuck):
+            flying = {future.name for future in pool.futures if not future.released}
+            queued = self.tasks - self.settled - self.suspects - flying
+            ready_at = min(
+                (self.resume_at.get(name, 0.0) for name in queued), default=None
+            )
+            # A free slot must be filled by the time a queued task may run:
+            # it is filled already, or this wait ends no later than that.
+            # Raised here, not collected: a loop that idles on a runnable
+            # task may never return on a clock that only waits move.
+            assert ready_at is None or not (
+                ready_at <= self.clock.now
+                or not done
+                and (timeout is None or self.clock.now + timeout > ready_at + 1e-9)
+            ), (
+                f"waited on {len(futures)} futures, jobs={self.executor.jobs}, "
+                f"timeout={timeout}, while {sorted(queued)} may run at "
+                f"{ready_at} (now {self.clock.now})"
+            )
+        if not done:
+            assert timeout is not None, "the executor would wait forever"
+            self.clock.now += timeout
+        return done, futures - done
 
     def serve(self, name: str, via_pool: bool) -> list:
         """Hand out the next scripted attempt: ``[outcome, charged, via_pool]``."""
@@ -284,16 +359,18 @@ class SupervisorMachine(RuleBasedStateMachine):
         # Weighted toward the pool, which has more states to reach.
         backend=st.sampled_from(["process", "process", "inprocess"]),
         retries=st.integers(min_value=0, max_value=2),
-        admission=st.integers(min_value=1, max_value=4),
         threshold=st.integers(min_value=1, max_value=4),
         cached=st.booleans(),
+        quota=st.booleans(),
     )
-    def build(self, jobs, backend, retries, admission, threshold, cached):
+    def build(self, jobs, backend, retries, threshold, cached, quota):
         self.retries = retries
         cache = None
         if cached:
             self.cache_dir = tempfile.mkdtemp(prefix="supervisor-model-")
-            cache = _ScriptedCache(self, self.cache_dir)
+            cache = _ScriptedCache(
+                self, self.cache_dir, QUOTA_BYTES if quota else None
+            )
         self.executor = Executor(
             jobs=jobs,
             backend=backend,
@@ -302,16 +379,8 @@ class SupervisorMachine(RuleBasedStateMachine):
                 retries=retries, base_delay_s=0.0002, max_delay_s=0.0005
             ),
             breaker_threshold=threshold,
-            admission=admission,
             cache=cache,
         )
-        ensure_pool = self.executor._ensure_pool
-
-        def wave_start():
-            self.wave_submits = 0
-            return ensure_pool()
-
-        self.executor._ensure_pool = wave_start
 
     @rule(entries=st.lists(ENTRIES, min_size=1, max_size=6))
     def submit(self, entries):
@@ -340,6 +409,13 @@ class SupervisorMachine(RuleBasedStateMachine):
         before = executor.stats.snapshot()
         self.log = {}
         self.violations = []
+        self.tasks = {
+            name
+            for name in names
+            if name not in self.quarantine
+            and not (executor.cache is not None and name in self.stored)
+        }
+        self.settled, self.suspects, self.resume_at = set(), set(), {}
         outcome = executor.map_outcome([_spec(name) for name in names])
         tripped_here = executor.breaker.tripped and not was_tripped
         delta = executor.stats.since(before)
@@ -423,7 +499,7 @@ class SupervisorMachine(RuleBasedStateMachine):
         assert delta.cache_evictions == evictions
         assert delta.cache_write_errors == write_errors
         if cache is not None:
-            self._check_cache_holds_stored_wires()
+            self._check_cache(delta)
         assert len(outcome.failures) == len(
             {failure.spec_hash for failure in outcome.index_failures.values()}
         )
@@ -460,9 +536,18 @@ class SupervisorMachine(RuleBasedStateMachine):
         cache = self.executor.cache
         return cache._path(cache.key(_spec(name)))
 
-    def _check_cache_holds_stored_wires(self) -> None:
+    def _check_cache(self, delta) -> None:
+        cache = self.executor.cache
         expected = self.stored | self.corrupt
-        assert len(self.executor.cache.entries()) == len(expected)
+        vanished = {name for name in expected if not self._entry(name).exists()}
+        assert delta.cache_gc_evictions == len(vanished)
+        if cache.quota_bytes is None:
+            assert not vanished, "a cache without a quota evicts nothing"
+        else:
+            assert cache.total_bytes() <= cache.quota_bytes
+        self.stored -= vanished
+        self.corrupt -= vanished
+        assert len(cache.entries()) == len(expected) - len(vanished)
         for name in self.stored:
             stored = json.loads(self._entry(name).read_text())
             assert _dump(stored) == self.wires[name]
@@ -521,7 +606,7 @@ def _dump(wire: dict) -> str:
 
 
 SupervisorMachine.TestCase.settings = settings(
-    max_examples=100,
+    max_examples=300,
     stateful_step_count=25,
     derandomize=True,
     deadline=None,
@@ -532,3 +617,35 @@ SupervisorMachine.TestCase.settings = settings(
     phases=[phase for phase in Phase if phase is not Phase.explain],
 )
 test_supervisor_model = SupervisorMachine.TestCase
+
+
+def test_suspect_never_runs_beside_a_retry_of_its_batch():
+    """Regression: a suspect waits until the attempts just returned settle.
+
+    Two specs break the pool together and become suspects; the sibling that
+    then runs returns a retryable failure. Its retry must be queued before a
+    suspect may run, or it later runs beside that suspect, and a second
+    break would be charged to both. Random exploration rarely reaches this
+    interleaving, so it is replayed here step by step. Both suspects hang
+    when they rerun, since ``wait`` hands back finished futures in no set
+    order and either may rerun first.
+    """
+    machine = SupervisorMachine()
+    try:
+        machine.build(
+            jobs=2,
+            backend="process",
+            retries=1,
+            threshold=2,
+            cached=False,
+            quota=False,
+        )
+        machine.submit(
+            entries=[
+                ("new", (["hang", "hang"], False)),
+                ("new", (["break", "hang"], False)),
+                ("new", (["raise", "ok"], False)),
+            ]
+        )
+    finally:
+        machine.teardown()

@@ -27,6 +27,22 @@ def test_no_arguments_shows_help(capsys):
     assert "usage" in capsys.readouterr().out.lower()
 
 
+def test_unknown_experiment_id_runs_nothing(capsys, monkeypatch):
+    import pytest
+
+    import repro.__main__ as cli
+
+    ran = []
+    monkeypatch.setattr(cli, "run_experiment", lambda key, **_: ran.append(key))
+    with pytest.raises(SystemExit) as exit_info:
+        main(["fig05", "fig99"])
+    assert exit_info.value.code == 2
+    assert ran == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unknown experiment id(s) fig99" in captured.err.splitlines()[-1]
+
+
 def test_faults_flag_runs_the_drill(capsys):
     assert main(["--faults", "none", "--scenario", "animation"]) == 0
     out = capsys.readouterr().out
