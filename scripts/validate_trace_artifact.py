@@ -6,8 +6,10 @@ and checks it against the Chrome Trace Event Format contract enforced by
 ``repro.telemetry.chrome.validate_chrome_trace`` (every event carries
 ``ph``/``ts``/``pid``/``tid``/``name``), plus a few artifact-level sanity
 floors: the file is non-empty, contains duration spans, and names at least
-one process via metadata events. Exits non-zero with a diagnostic on any
-violation.
+one process via metadata events. The file must also be in canonical form,
+byte for byte what ``json.dumps`` writes for its own content, which is how
+the streaming exporter promises to write it. Exits non-zero with a
+diagnostic on any violation.
 
 Usage: PYTHONPATH=src python scripts/validate_trace_artifact.py out.json
 """
@@ -27,8 +29,16 @@ def main(argv: list[str]) -> int:
 
     from repro.telemetry.chrome import validate_chrome_trace
 
-    with open(path, encoding="utf-8") as handle:
-        payload = json.load(handle)
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    payload = json.loads(raw)
+    if json.dumps(payload).encode() != raw:
+        print(
+            f"FAIL: {path} is not in json.dumps canonical form "
+            "(separators, escaping or number spelling differ)",
+            file=sys.stderr,
+        )
+        return 1
 
     try:
         validate_chrome_trace(payload)

@@ -16,8 +16,10 @@ process groups.
 from __future__ import annotations
 
 import json
+import os
+from collections.abc import Iterable, Sequence
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Iterable, Sequence
 
 from repro.pipeline.scheduler_base import RunResult
 from repro.telemetry.session import TelemetrySnapshot
@@ -118,13 +120,139 @@ def chrome_trace_from_results(results: Sequence[RunResult]) -> dict:
     return chrome_trace(items)
 
 
+def _value_json(value) -> str:
+    """A counter value as ``json.dumps`` renders it inside the document."""
+    return int.__repr__(value) if value.__class__ is int else json.dumps(value)
+
+
+class _Stamps(dict):
+    """Nanosecond time -> its microsecond ``ts`` text, formatted once per run.
+
+    Spans, instants and counters share most of their timestamps, and the
+    float ``repr`` is the costliest step of formatting an event.
+    """
+
+    def __missing__(self, ns):
+        text = self[ns] = float.__repr__(ns / 1000.0)
+        return text
+
+
+def _run_events_json(trace: Trace, pid: int) -> tuple[str, int]:
+    """One run's events as ``json.dumps`` writes them, and how many there are.
+
+    Formats straight from the trace records the same events, in the same
+    order and spelling, that :func:`chrome_events_from_trace` builds as
+    dicts. Every fragment that depends only on the track is encoded once per
+    track. Timestamps are integer nanoseconds, so their microsecond value is
+    a finite float and ``float.__repr__`` writes it as ``json.dumps`` does.
+    """
+    enc, stamps, float_text = encode_basestring_ascii, _Stamps(), float.__repr__
+    meta = f'{{"ph": "M", "ts": 0, "pid": {pid}, "tid": '
+    events = [
+        f'{meta}0, "name": "process_name", "args": {{"name": {enc(trace.name)}}}}}'
+    ]
+    span_parts, instant_parts, counter_head = {}, {}, {}
+    for tid, track in enumerate(trace.tracks(), start=1):
+        cat = enc(track)
+        ids = f', "pid": {pid}, "tid": {tid}, "name": '
+        events.append(
+            f'{meta}{tid}, "name": "thread_name", "args": {{"name": {cat}}}}}'
+        )
+        span_parts[track] = (ids, f', "cat": {cat}}}')
+        instant_parts[track] = (ids, f', "cat": {cat}, "s": "t"}}')
+        counter_head[track] = f'{ids}{cat}, "args": {{"value": '
+    append = events.append
+    for span in trace.spans:
+        ids, tail = span_parts[span.track]
+        start = span.start
+        dur = float_text((span.end - start) / 1000.0)
+        append(
+            f'{{"ph": "X", "ts": {stamps[start]}, "dur": {dur}{ids}{enc(span.name)}{tail}'
+        )
+    for instant in trace.instants:
+        ids, tail = instant_parts[instant.track]
+        append(
+            f'{{"ph": "i", "ts": {stamps[instant.time]}{ids}{enc(instant.name)}{tail}'
+        )
+    for sample in trace.counters:
+        append(
+            f'{{"ph": "C", "ts": {stamps[sample.time]}{counter_head[sample.track]}'
+            f'{_value_json(sample.value)}}}}}'
+        )
+    return ", ".join(events), len(events)
+
+
+class _TraceEvents(Sequence):
+    """Read-only ``traceEvents`` of a written document, one run per trace.
+
+    Its length is counted while writing; events are built as dicts (by
+    :func:`chrome_events_from_trace`) only when indexed or iterated.
+    """
+
+    def __init__(self, traces: list[Trace], sizes: list[int]) -> None:
+        self._traces = traces
+        self._sizes = sizes
+
+    def __len__(self) -> int:
+        return sum(self._sizes)
+
+    def __iter__(self):
+        for pid, trace in enumerate(self._traces, start=1):
+            yield from chrome_events_from_trace(trace, pid=pid)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(self)[index]
+        position = range(len(self))[index]  # normalizes negatives, raises IndexError
+        for pid, (trace, size) in enumerate(zip(self._traces, self._sizes), start=1):
+            if position < size:
+                return chrome_events_from_trace(trace, pid=pid)[position]
+            position -= size
+        raise AssertionError("unreachable: position is within the counted length")
+
+
 def save_chrome_trace(
     path: str | Path, snapshots: Iterable[TelemetrySnapshot | Trace]
 ) -> dict:
-    """Write a Chrome trace JSON file; returns the document written."""
-    document = chrome_trace(snapshots)
-    Path(path).write_text(json.dumps(document), encoding="utf-8")
-    return document
+    """Write a Chrome trace JSON file; returns the document written.
+
+    The file holds exactly the bytes of ``json.dumps(chrome_trace(snapshots))``
+    but is streamed one run at a time, so neither the event dicts nor the
+    whole document are ever in memory. It is written to a temporary file
+    beside *path* and moved onto it only once complete: a failed export
+    leaves an earlier file at *path* as it was. The returned document's
+    ``traceEvents`` is a read-only view that counts the events written and
+    builds them as dicts only on access.
+    """
+    path = Path(path)
+    traces = [
+        item.trace if isinstance(item, TelemetrySnapshot) else item
+        for item in snapshots
+    ]
+    sizes: list[int] = []
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        with open(tmp, "x", encoding="ascii") as handle:
+            handle.write('{"traceEvents": [')
+            for pid, trace in enumerate(traces, start=1):
+                chunk, size = _run_events_json(trace, pid)
+                if sizes:
+                    handle.write(", ")
+                handle.write(chunk)
+                sizes.append(size)
+            handle.write(
+                '], "displayTimeUnit": "ms", '
+                '"otherData": {"exporter": "repro.telemetry.chrome"}}'
+            )
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return {
+        "traceEvents": _TraceEvents(traces, sizes),
+        "displayTimeUnit": "ms",
+        "otherData": {"exporter": "repro.telemetry.chrome"},
+    }
 
 
 def validate_chrome_trace(document: dict) -> int:

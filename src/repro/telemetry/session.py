@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping
 
 from repro.errors import ConfigurationError
 from repro.telemetry.metrics import MetricsRegistry
-from repro.trace.record import Trace
+from repro.trace.record import CounterSample, Instant, Span, Trace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.pipeline.scheduler_base import RunResult
@@ -215,41 +215,52 @@ def record_emissions(
     Chrome export writes them in; the records they read are final by now.
     """
     trace, metrics, frames = session.trace, session.metrics, result.frames
-    counts = {SPAWN: 0, PRESENT: 0, DROP: 0}
+    add_span, add_instant = trace.spans.append, trace.instants.append
+    add_counter = trace.counters.append
+    # Histograms are looked up at their first observation, so one that
+    # observes nothing does not appear.
+    ui_self = buffer_wait = None
+    spawns = presents = drops = 0
     for kind, index in emissions:
         if kind == SPAWN:
             frame = frames[index]
             trigger = "d-vsync" if frame.decoupled else "vsync-app"
-            trace.add_instant("trigger", trigger, frame.trigger_time)
+            add_instant(Instant("trigger", trigger, frame.trigger_time))
+            spawns += 1
         elif kind == UI_COMPLETE:
             frame = frames[index]
-            if frame.ui_start is not None and frame.ui_end is not None:
-                trace.add_span("ui", f"frame-{index}", frame.ui_start, frame.ui_end)
-                metrics.histogram("ui.self_ns").observe(frame.ui_end - frame.ui_start)
+            ui_start, ui_end = frame.ui_start, frame.ui_end
+            if ui_start is not None and ui_end is not None:
+                add_span(Span("ui", f"frame-{index}", ui_start, ui_end))
+                if ui_self is None:
+                    ui_self = metrics.histogram("ui.self_ns").observe
+                ui_self(ui_end - ui_start)
         elif kind == QUEUED:
             frame = frames[index]
             label, render_end = f"frame-{index}", frame.render_end
             if frame.render_start is not None and render_end is not None:
-                trace.add_span("render", label, frame.render_start, render_end)
+                add_span(Span("render", label, frame.render_start, render_end))
             if frame.workload.gpu_ns and render_end is not None and frame.gpu_end:
-                trace.add_span("gpu", label, render_end, frame.gpu_end)
+                add_span(Span("gpu", label, render_end, frame.gpu_end))
             if frame.buffer_wait_ns:
-                metrics.histogram("queue.buffer_wait_ns").observe(frame.buffer_wait_ns)
+                if buffer_wait is None:
+                    buffer_wait = metrics.histogram("queue.buffer_wait_ns").observe
+                buffer_wait(frame.buffer_wait_ns)
         elif kind == PRESENT:
             record = result.presents[index]
             at = record.present_time
-            trace.add_instant("display", f"frame-{record.frame_id}", at)
-            trace.add_counter("queue-depth", at, record.queue_depth_after)
+            add_instant(Instant("display", f"frame-{record.frame_id}", at))
+            add_counter(CounterSample("queue-depth", at, record.queue_depth_after))
+            presents += 1
         else:
-            trace.add_instant("janks", "frame-drop", result.drops[index].time)
-        if kind in counts:
-            counts[kind] += 1
+            add_instant(Instant("janks", "frame-drop", result.drops[index].time))
+            drops += 1
     # A counter appears once it has counted something; sim.events always does.
     for name, count in (
-        ("trigger.frames", counts[SPAWN]),
-        ("display.presents", counts[PRESENT]),
+        ("trigger.frames", spawns),
+        ("display.presents", presents),
         ("janks.ticks", ticks),
-        ("janks.drops", counts[DROP]),
+        ("janks.drops", drops),
     ):
         if count:
             metrics.counter(name).inc(count)

@@ -1,9 +1,14 @@
 """Tests for the Chrome trace-event JSON exporter."""
 
 import json
+import math
 
 import pytest
 
+from repro.exec.executor import Executor
+from repro.experiments import registry
+from repro.study.core import execute_studies
+from repro.telemetry import runtime
 from repro.telemetry.chrome import (
     REQUIRED_EVENT_KEYS,
     chrome_trace,
@@ -79,8 +84,86 @@ def test_save_writes_loadable_json(tmp_path):
     path = tmp_path / "trace.json"
     written = save_chrome_trace(path, [make_snapshot()])
     loaded = json.loads(path.read_text())
-    assert loaded == written
+    assert loaded == chrome_trace([make_snapshot()])
     assert validate_chrome_trace(loaded) == len(written["traceEvents"])
+
+
+def assert_saved_bytes_match_reference(path, items):
+    """The streamed file is byte for byte ``json.dumps`` of the dict document."""
+    written = save_chrome_trace(path, items)
+    assert path.read_bytes() == json.dumps(chrome_trace(items)).encode()
+    loaded = json.loads(path.read_bytes())
+    assert len(written["traceEvents"]) == len(loaded["traceEvents"])
+    return written
+
+
+def test_save_matches_reference_for_many_runs_and_a_bare_trace(tmp_path):
+    bare = Trace(name="bare")
+    bare.add_span("ui", "frame-0", 0, 100)
+    bare.add_instant("janks", "frame-drop", 50)
+    items = [make_snapshot("a"), bare, make_snapshot("b")]
+    assert_saved_bytes_match_reference(tmp_path / "trace.json", items)
+
+
+def test_save_matches_reference_for_a_trace_without_events(tmp_path):
+    empty = Trace(name="empty")
+    assert empty.tracks() == []
+    written = assert_saved_bytes_match_reference(tmp_path / "trace.json", [empty])
+    assert len(written["traceEvents"]) == 1  # only the process name
+    assert_saved_bytes_match_reference(tmp_path / "none.json", [])
+
+
+def test_save_matches_reference_for_escaped_and_non_ascii_names(tmp_path):
+    trace = Trace(name='run "quoted" \\ back\\slash — é')
+    trace.add_span('track "q"', "frame-\\0", 0, 1_500)
+    trace.add_instant("défilement", "日本\n\t", 2_000)
+    trace.add_counter("queue\\depth", 3_000, 2)
+    assert_saved_bytes_match_reference(tmp_path / "trace.json", [trace])
+
+
+def test_save_matches_reference_for_counter_values_and_extreme_times(tmp_path):
+    trace = Trace(name="values")
+    for time, value in enumerate([0, 3, -1, 2.5, 1e-7, 1e22, math.nan, math.inf, True]):
+        trace.add_counter("queue-depth", time * 333, value)
+    trace.add_span("ui", "frame-0", 0, 10**15)
+    trace.add_span("ui", "frame-1", 10**15, 10**15)
+    trace.add_instant("display", "frame-1", 10**15)
+    trace.add_counter("fps", 10**15, 59.94)
+    assert_saved_bytes_match_reference(tmp_path / "trace.json", [trace])
+
+
+def test_save_matches_reference_for_fig05_quick(tmp_path):
+    runtime.set_enabled(True)
+    execute_studies(
+        [registry.STUDIES["fig05"](quick=True)],
+        executor=Executor(jobs=1, backend="inprocess", cache=False),
+    )
+    snapshots = runtime.collector().snapshots
+    assert snapshots
+    assert_saved_bytes_match_reference(tmp_path / "trace.json", snapshots)
+
+
+def test_returned_events_view_builds_the_reference_events(tmp_path):
+    items = [make_snapshot("a"), make_snapshot("b")]
+    view = save_chrome_trace(tmp_path / "trace.json", items)["traceEvents"]
+    events = chrome_trace(items)["traceEvents"]
+    assert list(view) == events
+    assert [view[i] for i in range(-len(view), len(view))] == events + events
+    assert view[1:4] == events[1:4]
+    with pytest.raises(IndexError):
+        view[len(view)]
+
+
+def test_failed_export_leaves_the_previous_file_and_no_temp_file(tmp_path):
+    path = tmp_path / "trace.json"
+    save_chrome_trace(path, [make_snapshot()])
+    before = path.read_bytes()
+    broken = Trace(name="broken")
+    broken.add_counter("queue-depth", 0, object())  # not JSON-encodable
+    with pytest.raises(TypeError):
+        save_chrome_trace(path, [make_snapshot("first"), broken])
+    assert path.read_bytes() == before
+    assert sorted(tmp_path.iterdir()) == [path]
 
 
 def test_validate_rejects_missing_keys():

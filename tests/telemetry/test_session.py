@@ -6,11 +6,16 @@ from repro.errors import ConfigurationError
 from repro.telemetry import runtime
 from repro.telemetry.session import (
     NULL_TELEMETRY,
+    QUEUED,
+    SPAWN,
+    UI_COMPLETE,
     NullTelemetry,
     Telemetry,
     TelemetrySnapshot,
+    record_emissions,
     resolve_telemetry,
 )
+from repro.testing import light_params, make_animation, run_vsync
 
 
 def test_profile_blocks_accumulate():
@@ -36,6 +41,25 @@ def test_snapshot_wire_roundtrip():
     assert clone.trace.spans == snapshot.trace.spans
     assert clone.metrics_registry().value("ui.frames") == 3
     assert clone.profile_seconds("scheduler.run") == pytest.approx(0.5)
+
+
+def test_histograms_appear_only_once_observed():
+    result = run_vsync(make_animation(light_params(), "histograms"))
+    idle, waited = 0, 1
+    result.frames[idle].buffer_wait_ns = 0
+    result.frames[waited].buffer_wait_ns = 250_000
+
+    def names(emissions):
+        session = Telemetry("histograms")
+        record_emissions(session, result, emissions, ticks=0, events=1)
+        return session.metrics.names()
+
+    assert names([(SPAWN, idle)]) == [
+        "run.drops", "run.frames", "run.presents", "sim.events", "trigger.frames"
+    ]
+    assert "queue.buffer_wait_ns" not in names([(QUEUED, idle)])
+    observed = names([(UI_COMPLETE, idle), (QUEUED, waited)])
+    assert {"ui.self_ns", "queue.buffer_wait_ns"} <= set(observed)
 
 
 def test_snapshot_version_checked():
