@@ -160,7 +160,7 @@ def main() -> int:
     from repro.exec.governor import ResourceBudget
     from repro.verify import runtime as verify_runtime
 
-    verify_runtime.set_enabled(False)  # forced fastpath needs the switch off
+    verify_runtime.set_enabled(False)  # time the runs without the checker
     ARMED = ResourceBudget(max_events=10**9, max_sim_ns=10**15)
 
     overhead = {}

@@ -66,9 +66,6 @@ class DisplayTimeVirtualizer:
         self.calibrations = 0
         self.skipped_periods = 0
         self.predictions_made = 0
-        # Observability seam: fires on every committed prediction. The
-        # invariant checker registers here; the list stays empty otherwise.
-        self.on_commit: list = []
 
     @property
     def exec_estimate_ns(self) -> int:
@@ -113,8 +110,6 @@ class DisplayTimeVirtualizer:
         self._last_committed_present = prediction.predicted_present
         self._last_issued_d_ts = prediction.d_timestamp
         self.predictions_made += 1
-        for hook in self.on_commit:
-            hook(prediction)
 
     def predict(self, now: int) -> DisplayPrediction:
         """Preview and immediately commit (convenience for simple callers)."""

@@ -116,10 +116,22 @@ class DVSyncScheduler(SchedulerBase):
             return False
         self.dtv.commit(prediction)
         frame = self._spawn_frame(content_timestamp=content_timestamp, decoupled=True)
+        if self.verifier is not None:
+            self._log_trigger(now, prediction, frame)
         self.dtv.track(frame.frame_id, prediction)
         self.controller.note_routed(TimingMode.DVSYNC)
         self.scheduler_overhead_ns += self.config.per_frame_overhead_ns
         return True
+
+    def _log_trigger(self, now: int, prediction, frame: FrameRecord) -> None:
+        """Log a decoupled trigger's DTV commit and FPE state for the checker."""
+        from repro.verify.invariants import V_COMMIT, V_SPAWN
+
+        log, fpe = self._emissions, self.fpe
+        committed = prediction.predicted_present, prediction.d_timestamp
+        depth_ns = self.dtv.pipeline_depth_periods * self.hw_vsync.period
+        log.append((V_COMMIT, (now, *committed, depth_ns)))
+        log.append((V_SPAWN, (frame.frame_id, fpe.occupancy, fpe.prerender_limit)))
 
     # ------------------------------------------------------ vsync-path frames
     def _arm_vsync_fallback(self) -> None:

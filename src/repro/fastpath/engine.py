@@ -5,8 +5,9 @@ demand is a deterministic function of time and nothing observes or perturbs
 the run from outside the scheduling rules. :func:`run_ineligibility` states
 the rules once; :func:`spec_ineligibility` adds the spec-only ones (faults,
 watchdog, start time). :func:`fastpath_attempt` is what the executor calls,
-and :func:`fastpath_driver_attempt` is its live-driver twin. Telemetry is
-computed from the finished run, so it never makes a run ineligible.
+and :func:`fastpath_driver_attempt` is its live-driver twin. Telemetry and
+the invariant checker read the finished run and its emission log, which the
+replay writes too, so neither makes a run ineligible.
 
 The process-wide default engine (consulted by ``engine="auto"`` specs) comes
 from ``--engine`` on the CLI or the ``REPRO_ENGINE`` environment variable —
@@ -78,32 +79,10 @@ def resolve_requested_engine(spec: "RunSpec") -> str:
     return resolve_engine(getattr(spec, "engine", "auto"))
 
 
-def _numpy_available() -> bool:
-    try:
-        import numpy  # noqa: F401
-    except ImportError:  # pragma: no cover - numpy is a hard dependency
-        return False
-    return True
-
-
-def run_ineligibility(architecture: str, dvsync, verify) -> str | None:
-    """The eligibility rules shared by spec runs and live-driver runs.
-
-    ``verify`` is tri-state: ``None`` defers to the process-wide switch,
-    ``False`` declines, and anything else (``True``, a live checker)
-    observes the event loop.
-    """
-    if verify is None:
-        from repro.verify import runtime as verify_runtime
-
-        if verify_runtime.enabled():
-            return "the process-wide verification switch is on (event-loop checker)"
-    elif verify is not False:
-        return "the run attaches an event-loop invariant checker"
+def run_ineligibility(architecture: str, dvsync) -> str | None:
+    """The eligibility rule shared by spec runs and live-driver runs."""
     if architecture == "dvsync" and dvsync is not None and not dvsync.enabled:
         return "DVSyncConfig(enabled=False) routes frames through live fallback"
-    if not _numpy_available():
-        return "numpy is unavailable"
     return None
 
 
@@ -112,7 +91,7 @@ def spec_ineligibility(spec: "RunSpec") -> str | None:
 
     The driver's own purity (``replay_profile()``) is checked separately by
     :func:`fastpath_attempt`, because answering it requires building the
-    driver. A spec's ``False`` observer flags defer to the process switches.
+    driver.
     """
     if spec.faults:
         return "fault injection perturbs the run from outside the scheduling rules"
@@ -120,10 +99,12 @@ def spec_ineligibility(spec: "RunSpec") -> str | None:
         return "the degradation watchdog observes live fault telemetry"
     if spec.start_time < 0:
         return "negative start_time (the event engine rejects it at schedule time)"
-    return run_ineligibility(spec.architecture, spec.dvsync, spec.verify or None)
+    return run_ineligibility(spec.architecture, spec.dvsync)
 
 
-def _replay(spec, driver, compiled, telemetry) -> tuple["RunResult | None", str | None]:
+def _replay(
+    spec, driver, compiled, telemetry, verify
+) -> tuple["RunResult | None", str | None]:
     """Replay a compiled profile; ``(None, reason)`` when it cannot be."""
     if compiled is None:
         return None, "the driver is not trace-pure (no replay profile)"
@@ -131,7 +112,7 @@ def _replay(spec, driver, compiled, telemetry) -> tuple["RunResult | None", str 
         return None, "the driver's replay profile has no frame times"
     from repro.fastpath.replay import replay_spec
 
-    return replay_spec(spec, driver, compiled, telemetry), None
+    return replay_spec(spec, driver, compiled, telemetry, verify), None
 
 
 def fastpath_driver_attempt(
@@ -149,7 +130,7 @@ def fastpath_driver_attempt(
     must fall back to the event engine. The driver's profile is compiled on
     the spot (no cache: a live driver has no content identity to key on).
     """
-    reason = run_ineligibility(architecture, dvsync_config, verify)
+    reason = run_ineligibility(architecture, dvsync_config)
     if reason is not None:
         return None, reason
     from repro.fastpath.profile import compile_profile
@@ -164,7 +145,7 @@ def fastpath_driver_attempt(
         start_time=0,
         horizon=None,
     )
-    return _replay(pseudo_spec, driver, compiled, telemetry)
+    return _replay(pseudo_spec, driver, compiled, telemetry, verify)
 
 
 def fastpath_attempt(
@@ -183,8 +164,15 @@ def fastpath_attempt(
     from repro.fastpath.profile import load_compiled
 
     driver, compiled = load_compiled(spec.driver)
-    # spec.telemetry forces a session; False defers to the process switch.
-    result, reason = _replay(spec, driver, compiled, True if spec.telemetry else None)
+    # spec.telemetry / spec.verify force a session or checker; False defers
+    # to the process switch.
+    result, reason = _replay(
+        spec,
+        driver,
+        compiled,
+        True if spec.telemetry else None,
+        True if spec.verify else None,
+    )
     if result is None:
         # only an uncached (non-trace-pure) driver may be handed on
         return None, driver if compiled is None else None, reason

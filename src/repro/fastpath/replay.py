@@ -53,6 +53,8 @@ from repro.pipeline.frame import FrameRecord
 from repro.pipeline.scheduler_base import RunResult
 from repro.telemetry.session import DROP, PRESENT, QUEUED, SPAWN, UI_COMPLETE
 from repro.telemetry.session import record_emissions, resolve_telemetry
+from repro.verify.invariants import V_COMMIT, V_END, V_IDLE, V_PRESENT, V_SPAWN
+from repro.verify.invariants import V_TICK, resolve_checker
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.exec.spec import RunSpec
@@ -98,14 +100,19 @@ _FAST_PRESENT = (
 
 
 def replay_spec(
-    spec: "RunSpec", driver: "ScenarioDriver", compiled: "CompiledProfile", telemetry=None
+    spec: "RunSpec",
+    driver: "ScenarioDriver",
+    compiled: "CompiledProfile",
+    telemetry=None,
+    verify=None,
 ) -> RunResult:
     """Replay a trace-pure *spec* and return its exact :class:`RunResult`.
 
-    *telemetry* follows the scheduler constructors' tri-state contract; a
-    recorded replay logs what the event engine's telemetry hooks log.
+    *telemetry* and *verify* follow the scheduler constructors' tri-state
+    contracts; a recorded or verified replay logs what the event engine
+    logs, and a strict checker raises here as it does there.
     """
-    return _Replay(spec, driver, compiled).run(telemetry)
+    return _Replay(spec, driver, compiled).run(telemetry, verify)
 
 
 class _Replay:
@@ -133,15 +140,18 @@ class _Replay:
         self.refresh_hz = device.refresh_hz
 
     # -------------------------------------------------------------- run loop
-    def run(self, telemetry) -> RunResult:  # noqa: C901 - deliberately monolithic hot loop
+    def run(self, telemetry, verify) -> RunResult:  # noqa: C901 - deliberately monolithic hot loop
         run_started = time.perf_counter()
         spec = self.spec
         driver = self.driver
         scheduler = "dvsync" if self.dvsync else "vsync"
         session = resolve_telemetry(telemetry, name=f"{scheduler}@{driver.name}")
         recording = session.enabled
-        log: list[tuple[str, int]] = []  # the emission log of a recorded run
+        checker = resolve_checker(verify)
+        log: list[tuple] = []  # telemetry's kinds, the checker's, and QUEUED
         emit = log.append if recording else None
+        vemit = None if checker is None else log.append
+        emit_queued = log.append if recording or checker is not None else None
         compiled = self.compiled
         dvsync = self.dvsync
         config = self.config
@@ -252,6 +262,7 @@ class _Replay:
         slot_queued_at: list[int | None] = [None] * capacity
         fifo: list[int] = []
         front: int | None = None
+        total_queued = 0
         # RenderPipeline + SimThreads (busy-until arithmetic).
         backlog: list[FrameRecord] = []
         render_active = False
@@ -368,6 +379,10 @@ class _Replay:
             dtv_last_issued = d_timestamp
             dtv_predictions += 1
             frame = spawn(content, True, at)
+            if vemit is not None:
+                occupancy = len(fifo) + (in_flight - 1 if in_flight > 1 else 0)
+                vemit((V_COMMIT, (at, predicted, d_timestamp, depth_offset)))
+                vemit((V_SPAWN, (frame.frame_id, occupancy, prerender_limit)))
             dtv_pending[frame.frame_id] = predicted
             routed_dvsync += 1
             overhead += per_frame_overhead
@@ -417,7 +432,7 @@ class _Replay:
         def finish_frame(frame: FrameRecord, slot: int, at: int) -> None:
             # BufferQueue.queue_buffer + on_frame_queued (DTV EWMA fold, then
             # another pump opportunity).
-            nonlocal in_flight, dtv_est, driver_done
+            nonlocal in_flight, dtv_est, driver_done, total_queued
             workload = frame.workload
             gpu_ns = workload.gpu_ns
             frame.gpu_end = at if gpu_ns > 0 else None
@@ -427,9 +442,10 @@ class _Replay:
             slot_content[slot] = frame.content_timestamp
             slot_queued_at[slot] = at
             fifo.append(slot)
+            total_queued += 1
             in_flight -= 1
-            if emit is not None:  # on_frame_queued, ahead of the DTV hook
-                emit((QUEUED, frame.frame_id))
+            if emit_queued is not None:  # on_frame_queued, ahead of the DTV hook
+                emit_queued((QUEUED, frame.frame_id))
             if dvsync:
                 execution_ns = workload.ui_ns + workload.render_ns + gpu_ns
                 if execution_ns > 0:
@@ -546,6 +562,8 @@ class _Replay:
                                         dtv_last_committed += error
                                     if error > 0:
                                         dtv_skipped += round(error / period)
+                        if vemit is not None:  # the last present listener
+                            vemit((V_PRESENT, len(presents) - 1))
                     else:
                         drops.append(
                             drop_event(
@@ -577,6 +595,10 @@ class _Replay:
                         driver_done = True
                     elif ui_busy <= t:
                         pump(t)
+                if vemit is not None:  # the last tick hook
+                    has_front = front is not None
+                    state = (len(fifo), len(fifo), int(has_front), has_front)
+                    vemit((V_TICK, (t, period, *state, total_queued, len(presents))))
                 # app-channel delivery (VSync-app waiters swap out, then
                 # fire) — VSyncScheduler._on_vsync_app, one opportunity per
                 # tick, re-arming unless the driver finished.
@@ -663,6 +685,8 @@ class _Replay:
                                         pending, period, skipped,
                                         head_entry[1], seq,
                                     )
+                                if vemit is not None:
+                                    vemit((V_IDLE, skipped))
                                 relocated = pending + skipped * period
                                 pending_tick_seq = seq + skipped - 1
                                 heap[0] = (
@@ -815,4 +839,11 @@ class _Replay:
             record_emissions(session, result, log, tick_index + 1, guard.events)
             session.add_profile("scheduler.run", time.perf_counter() - run_started)
             result.telemetry = session.snapshot(f"{scheduler}@{driver.name}")
+        if checker is not None:
+            has_front = front is not None
+            state = (len(fifo), len(fifo), int(has_front), has_front, total_queued)
+            pending = tuple(dtv_pending) if dvsync else None
+            log.append((V_END, (*state, len(presents), pending)))
+            checker.check(result, log)
+            checker.enforce(result)
         return result

@@ -132,8 +132,8 @@ class EngineParity(Relation):
     name = "engine-parity"
     description = (
         "event-loop and fastpath results are byte-identical on trace-pure "
-        "specs, telemetry snapshots included; auto falls back to the event "
-        "engine consistently"
+        "specs, telemetry snapshots and invariant verdicts included; auto "
+        "falls back to the event engine consistently"
     )
 
     def applies(self, spec: RunSpec) -> bool:
@@ -153,6 +153,9 @@ class EngineParity(Relation):
         fast_text = behavioral_text(fast)
         if event_text != fast_text:
             return f"engines diverge: {_first_difference(event_text, fast_text)}"
+        verdicts = [canonical_json(r.extra.get("invariants")) for r in (event, fast)]
+        if verdicts[0] != verdicts[1]:
+            return f"invariant verdicts diverge: {_first_difference(*verdicts)}"
         if spec.telemetry:
             event_snapshot, fast_snapshot = snapshot_text(event), snapshot_text(fast)
             if event_snapshot != fast_snapshot:

@@ -23,10 +23,8 @@ from repro.graphics.buffer import BufferState, FrameBuffer
 class BufferQueue:
     """FIFO frame-buffer queue with a fixed slot pool.
 
-    Listener hooks let schedulers react to state changes without polling:
-    ``on_buffer_queued`` fires when a rendered frame becomes available to the
-    consumer, ``on_slot_freed`` when a slot returns to the pool (the event the
-    FPE's sync stage waits on).
+    The ``on_slot_freed`` hooks fire when a slot returns to the pool (the
+    event the FPE's sync stage waits on), so producers need not poll.
     """
 
     def __init__(self, capacity: int, buffer_bytes: int) -> None:
@@ -39,7 +37,6 @@ class BufferQueue:
         self._slots = [FrameBuffer(slot=i, size_bytes=buffer_bytes) for i in range(capacity)]
         self._queued_fifo: list[FrameBuffer] = []
         self._front: FrameBuffer | None = None
-        self.on_buffer_queued: list[Callable[[FrameBuffer], None]] = []
         self.on_slot_freed: list[Callable[[], None]] = []
         self.max_queued_depth = 0
         self.total_queued = 0
@@ -127,8 +124,6 @@ class BufferQueue:
         self._queued_fifo.append(buffer)
         self.total_queued += 1
         self.max_queued_depth = max(self.max_queued_depth, len(self._queued_fifo))
-        for hook in list(self.on_buffer_queued):
-            hook(buffer)
 
     def cancel(self, buffer: FrameBuffer) -> None:
         """Return a DEQUEUED buffer to the pool without queueing it."""

@@ -21,6 +21,7 @@ from repro.display.device import DeviceProfile
 from repro.display.hal import PresentRecord, ScreenHAL
 from repro.display.vsync import HWVsyncSource, VsyncChannel, VsyncOffsets
 from repro.errors import ConfigurationError
+from repro.graphics.buffer import BufferState
 from repro.graphics.bufferqueue import BufferQueue
 from repro.pipeline.compositor import Compositor, DropEvent
 from repro.pipeline.driver import ScenarioDriver
@@ -120,6 +121,8 @@ class SchedulerBase(abc.ABC):
     #: Invariant checker for this run; stays ``None`` when verification is
     #: disabled (the zero-cost default — no hooks are registered).
     verifier: "InvariantChecker | None" = None
+    #: The run's emission log (see :meth:`_emission_log`), if anything reads it.
+    _emissions: list | None = None
 
     def __init__(
         self,
@@ -179,6 +182,32 @@ class SchedulerBase(abc.ABC):
         self._install_telemetry(telemetry)
         self._install_verifier(verify)
 
+    # ---------------------------------------------------------- emission log
+    def _emission_log(self) -> list:
+        """The run's emission log, read by telemetry and the checker alike.
+
+        Created on first use with the ``QUEUED`` hook both readers need; a
+        run that neither records nor verifies keeps no log.
+        """
+        if self._emissions is None:
+            from repro.telemetry.session import QUEUED
+
+            log = self._emissions = []
+            self.pipeline.on_frame_queued.append(
+                lambda frame: log.append((QUEUED, frame.frame_id))
+            )
+        return self._emissions
+
+    def _queue_state(self) -> tuple:
+        """The buffer queue's state as a verification log entry carries it."""
+        queue = self.buffer_queue
+        states = [buffer.state for buffer in queue.slots]
+        return (
+            states.count(BufferState.QUEUED), queue.queued_depth,
+            states.count(BufferState.ACQUIRED), queue.front is not None,
+            queue.total_queued, queue.total_acquired,
+        )
+
     # -------------------------------------------------------------- telemetry
     def _install_telemetry(
         self, telemetry: "Telemetry | NullTelemetry | bool | None"
@@ -187,11 +216,11 @@ class SchedulerBase(abc.ABC):
 
         Disabled telemetry registers **nothing**, so a run without telemetry
         executes the same code paths as one built before the subsystem
-        existed. Enabled telemetry appends ``(kind, index)`` pairs to
-        :attr:`_emissions` and counts compositor ticks; :meth:`run` builds
-        the session's trace and metrics from them once the run is over.
+        existed. Enabled telemetry appends ``(kind, index)`` pairs to the
+        emission log and counts compositor ticks; :meth:`run` builds the
+        session's trace and metrics from them once the run is over.
         """
-        from repro.telemetry.session import DROP, PRESENT, QUEUED, SPAWN, UI_COMPLETE
+        from repro.telemetry.session import DROP, PRESENT, SPAWN, UI_COMPLETE
         from repro.telemetry.session import resolve_telemetry
 
         session = resolve_telemetry(
@@ -200,7 +229,7 @@ class SchedulerBase(abc.ABC):
         self.telemetry = session
         if not session.enabled:
             return
-        log = self._emissions = []
+        log = self._emission_log()
         self._ticks = 0
         presents, drops = self.hal.presents, self.compositor.drops
         logged_drops = 0
@@ -215,7 +244,6 @@ class SchedulerBase(abc.ABC):
         for hooks, kind in (
             (self.on_frame_spawned, SPAWN),
             (self.pipeline.on_ui_complete, UI_COMPLETE),
-            (self.pipeline.on_frame_queued, QUEUED),
         ):
             hooks.append(lambda frame, kind=kind: log.append((kind, frame.frame_id)))
         self.hal.add_listener(lambda record: log.append((PRESENT, len(presents) - 1)))
@@ -223,21 +251,39 @@ class SchedulerBase(abc.ABC):
 
     # ----------------------------------------------------------- verification
     def _install_verifier(self, verify: "InvariantChecker | bool | None") -> None:
-        """Resolve the verify argument; when enabled, bind the checker.
+        """Resolve the verify argument; when enabled, log for the checker.
 
-        Disabled verification (the default) binds **nothing**: the checker's
-        per-event hooks only exist on runs that asked for them, so a run
-        without verification executes the same code paths as one built before
-        the subsystem existed. The checker's event hooks install at the top
-        of :meth:`run` (see :meth:`InvariantChecker.arm`), after every
-        component and listener exists.
+        Disabled verification (the default) registers **nothing**. An
+        enabled checker reads the emission log in a result hook, ahead of
+        the fault and watchdog annotations.
         """
         from repro.verify.invariants import resolve_checker
 
         checker = resolve_checker(verify)
         if checker is not None:
             self.verifier = checker
-            checker.attach(self)
+            self._emission_log()
+            self.result_hooks.append(self._check_invariants)
+
+    def _log_for_verification(self) -> None:
+        """Log presents and ticks behind every other listener (run start)."""
+        from repro.verify.invariants import V_PRESENT, V_TICK
+
+        log, presents = self._emissions, self.hal.presents
+        self.hal.add_listener(lambda record: log.append((V_PRESENT, len(presents) - 1)))
+        self.compositor.after_tick.append(
+            lambda time, index: log.append(
+                (V_TICK, (time, self.hw_vsync.period, *self._queue_state()))
+            )
+        )
+
+    def _check_invariants(self, result: RunResult) -> None:
+        from repro.verify.invariants import V_END
+
+        dtv = getattr(self, "dtv", None)
+        pending = None if dtv is None else dtv.pending_frame_ids
+        self._emissions.append((V_END, (*self._queue_state(), pending)))
+        self.verifier.check(result, self._emissions)
 
     # ------------------------------------------------------------------ hooks
     def _frame_by_id(self, frame_id: int) -> FrameRecord | None:
@@ -325,7 +371,7 @@ class SchedulerBase(abc.ABC):
         recording = telemetry is not None and telemetry.enabled
         run_started = time.perf_counter() if recording else None
         if self.verifier is not None:
-            self.verifier.arm()
+            self._log_for_verification()
         self.driver.begin(start_time)
         self._started = True
         self.hw_vsync.start(start_time)

@@ -10,11 +10,11 @@ A :class:`Telemetry` session owns three stores:
   (scheduler run time, engine loop time, executor batches).
 
 During a run either engine only logs the order of what happened, and
-:func:`record_emissions` computes the trace and metrics afterwards. Disabled
-telemetry is the :data:`NULL_TELEMETRY` singleton, which never allocates a
-store — schedulers built without a session register **zero** telemetry
-hooks, so the disabled path costs one branch at construction and nothing
-per frame.
+:func:`record_emissions` computes the trace and metrics afterwards, from the
+same log the invariant checker reads. Disabled telemetry is the
+:data:`NULL_TELEMETRY` singleton, which never allocates a store — schedulers
+built without a session register **zero** telemetry hooks, so the disabled
+path costs one branch at construction and nothing per frame.
 
 A finished session freezes into a :class:`TelemetrySnapshot`, the JSON-able
 form that rides on ``RunResult.telemetry`` across the executor's process-pool
@@ -41,7 +41,9 @@ TELEMETRY_SCHEMA_VERSION = 1
 
 #: Emission kinds of a run's ordered ``(kind, index)`` log. A frame kind
 #: indexes ``RunResult.frames`` (by frame id), a present or a drop
-#: ``RunResult.presents`` / ``RunResult.drops``.
+#: ``RunResult.presents`` / ``RunResult.drops``. A verified run's log also
+#: holds the checker's kinds (:mod:`repro.verify.invariants`), which read
+#: ``QUEUED`` too.
 SPAWN, UI_COMPLETE, QUEUED, PRESENT, DROP = (
     "spawn", "ui-complete", "queued", "present", "drop"
 )
@@ -213,6 +215,7 @@ def record_emissions(
     number of compositor ticks it executed and *events* the number of
     simulator events. Trace events are appended in log order, the order the
     Chrome export writes them in; the records they read are final by now.
+    The invariant checker's entries in a verified run's log are skipped.
     """
     trace, metrics, frames = session.trace, session.metrics, result.frames
     add_span, add_instant = trace.spans.append, trace.instants.append
@@ -252,7 +255,7 @@ def record_emissions(
             add_instant(Instant("display", f"frame-{record.frame_id}", at))
             add_counter(CounterSample("queue-depth", at, record.queue_depth_after))
             presents += 1
-        else:
+        elif kind == DROP:
             add_instant(Instant("janks", "frame-drop", result.drops[index].time))
             drops += 1
     # A counter appears once it has counted something; sim.events always does.

@@ -17,7 +17,7 @@ import dataclasses
 from repro.pipeline.scheduler_base import RunResult
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class Span:
     """A named interval on a track."""
 
@@ -35,7 +35,7 @@ class Span:
         return self.end - self.start
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class Instant:
     """A point event on a track (drops, VSync edges, present fences)."""
 
@@ -44,7 +44,7 @@ class Instant:
     time: int
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class CounterSample:
     """One sample of a numeric counter (queue depth, FPS)."""
 

@@ -2,10 +2,10 @@
 
 Three layers, each usable on its own:
 
-- :mod:`repro.verify.invariants` — an :class:`InvariantChecker` that rides
-  the schedulers' existing hook surfaces and enforces the paper's structural
-  claims (buffer conservation, D-Timestamp monotonicity, accumulation limits,
-  rate-bound display) while a run executes. Enable per run with
+- :mod:`repro.verify.invariants` — an :class:`InvariantChecker` that checks
+  the paper's structural claims (buffer conservation, D-Timestamp
+  monotonicity, accumulation limits, rate-bound display) against a finished
+  run and its emission log, on either engine. Enable per run with
   ``verify=True``, per spec with ``RunSpec(verify=True)``, or process-wide
   via :mod:`repro.verify.runtime`.
 - :mod:`repro.verify.oracle` — a differential oracle that runs the same

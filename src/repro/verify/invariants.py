@@ -1,18 +1,20 @@
-"""Runtime invariant checker for scheduler runs.
+"""Invariant checker for finished scheduler runs.
 
 The paper's correctness claims are structural, not statistical: buffers are
 conserved through the queue (§2), the compositor consumes it FIFO (§4.4),
 D-Timestamps are monotone and bounded by the content-time convention (§4.4,
 §7), the FPE never accumulates past the pre-render limit (§4.3, §5.1), and
 LTPO rate-bound buffers never let a frame rendered at X Hz display at Y Hz
-(§5.3). :class:`InvariantChecker` enforces those properties *while a run
-executes*, riding the same hook surfaces telemetry uses — a scheduler built
-without a checker registers zero verification hooks, so the disabled path
-costs one resolve branch at construction and nothing per frame.
+(§5.3). :class:`InvariantChecker` checks those properties once a run is
+over, as a function of the finished :class:`RunResult` and the run's ordered
+emission log — the log :func:`repro.telemetry.session.record_emissions`
+reads. A verified run adds the ``V_*`` entries below to that log, and either
+engine writes them, so a verified run replays. A run without a checker
+writes none of them.
 
 Violations are structured :class:`Violation` records attached to
 ``RunResult.extra["invariants"]``; a *strict* checker additionally raises
-:class:`~repro.errors.InvariantViolationError` at the end of ``run()``.
+:class:`~repro.errors.InvariantViolationError` at the end of the run.
 Components that intentionally break an invariant declare it: the fault
 injector :meth:`relax`\\ es the checker (violations are expected evidence, not
 bugs), and the LTPO co-design ablation :meth:`waive`\\ s the rate-bound check
@@ -21,17 +23,16 @@ it exists to violate.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from repro.errors import ConfigurationError, InvariantViolationError
 from repro.units import period_to_hz
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.display.hal import PresentRecord
-    from repro.graphics.buffer import FrameBuffer
-    from repro.pipeline.frame import FrameRecord
-    from repro.pipeline.scheduler_base import RunResult, SchedulerBase
+    from repro.pipeline.compositor import DropEvent
+    from repro.pipeline.scheduler_base import RunResult
 
 #: Every invariant the checker can enforce, with its paper anchor. The ids are
 #: stable — they appear in violation records, waiver maps, and golden traces.
@@ -88,6 +89,20 @@ INVARIANTS = {
 #: Cap on *recorded* violations per run; the count keeps counting past it.
 _MAX_RECORDED = 200
 
+#: Verification kinds of a run's emission log (DESIGN §10); the checker also
+#: reads ``QUEUED``, whose order is the buffer queue's FIFO order. Data:
+#: ``V_PRESENT`` a present index; ``V_TICK`` ``(time, period, *queue_state)``
+#: after every other tick hook; ``V_IDLE`` the count of no-op ticks the
+#: replay skipped after the last ``V_TICK``, in its state; ``V_COMMIT``
+#: ``(time, predicted_present, d_timestamp, depth_ns)``; ``V_SPAWN``
+#: ``(frame_id, fpe_occupancy, prerender_limit)`` per decoupled spawn;
+#: ``V_END`` ``(*queue_state, dtv_pending_ids or None)``. A queue state is
+#: ``(queued_slots, fifo_depth, acquired_slots, has_front, total_queued,
+#: total_acquired)``.
+V_PRESENT, V_TICK, V_IDLE, V_COMMIT, V_SPAWN, V_END = (
+    "v-present", "v-tick", "v-idle", "v-commit", "v-spawn", "v-end"
+)
+
 
 @dataclasses.dataclass(frozen=True)
 class Violation:
@@ -106,7 +121,8 @@ def resolve_checker(verify) -> "InvariantChecker | None":
 
     ``None`` defers to the process-wide switch (:mod:`repro.verify.runtime`),
     ``False`` disables, ``True`` attaches a fresh non-strict checker, and an
-    :class:`InvariantChecker` instance is used as given.
+    :class:`InvariantChecker` instance is used as given. A checker serves
+    exactly one run, so resolving a used one raises.
     """
     # Imported here, not at module top: the package __init__ re-exports this
     # module, so a top-level ``from repro.verify import runtime`` would cycle.
@@ -121,6 +137,11 @@ def resolve_checker(verify) -> "InvariantChecker | None":
     if verify is True:
         return InvariantChecker()
     if isinstance(verify, InvariantChecker):
+        if verify._claimed:
+            raise ConfigurationError(
+                "an InvariantChecker serves exactly one run; build a fresh one"
+            )
+        verify._claimed = True
         return verify
     raise ConfigurationError(
         f"verify must be a bool, None, or an InvariantChecker, got {verify!r}"
@@ -128,13 +149,11 @@ def resolve_checker(verify) -> "InvariantChecker | None":
 
 
 class InvariantChecker:
-    """Enforces the paper-derived runtime invariants over one scheduler run.
+    """Checks the paper-derived invariants over one finished run.
 
-    Lifecycle: :meth:`attach` binds the checker to a scheduler at
-    construction time (registering only the result annotation); :meth:`arm`
-    — called once at the top of ``SchedulerBase.run`` — installs the
-    per-event hooks, after every component and listener exists, so the
-    checker always observes component state *after* the component updated it.
+    :meth:`check` reads the run's emission log in order, so violations come
+    out in the order the run produced them. Violations recorded before the
+    check (a test seeding one, say) stay in the verdict.
     """
 
     def __init__(self, strict: bool = False) -> None:
@@ -144,17 +163,7 @@ class InvariantChecker:
         self.checks = 0
         self.waived: dict[str, str] = {}
         self.relaxed: str | None = None
-        self._scheduler: "SchedulerBase | None" = None
-        self._armed = False
-        # Streaming state.
-        self._expected_latch: list[int] = []
-        self._last_present_time: int | None = None
-        self._presented: set[int] = set()
-        self._last_content: dict[bool, int] = {}
-        self._last_committed_d_ts: int | None = None
-        self._drops_seen = 0
-        self._pacing_seen = 0
-        self._periods_seen: set[int] = set()
+        self._claimed = False
 
     # ------------------------------------------------------------ exemptions
     def waive(self, invariant: str, reason: str) -> None:
@@ -173,32 +182,6 @@ class InvariantChecker:
         """
         self.relaxed = reason
 
-    # ------------------------------------------------------------ attachment
-    def attach(self, scheduler: "SchedulerBase") -> None:
-        """Bind to *scheduler*; per-event hooks install later via :meth:`arm`."""
-        if self._scheduler is not None:
-            raise ConfigurationError(
-                "an InvariantChecker serves exactly one run; build a fresh one"
-            )
-        self._scheduler = scheduler
-        scheduler.result_hooks.append(self._annotate)
-
-    def arm(self) -> None:
-        """Install the per-event hooks (idempotent; called at run start)."""
-        if self._armed:
-            return
-        scheduler = self._scheduler
-        if scheduler is None:
-            raise ConfigurationError("arm() before attach()")
-        self._armed = True
-        scheduler.buffer_queue.on_buffer_queued.append(self._on_buffer_queued)
-        scheduler.compositor.after_tick.append(self._on_tick)
-        scheduler.hal.add_listener(self._on_present)
-        scheduler.on_frame_spawned.append(self._on_frame_spawned)
-        dtv = getattr(scheduler, "dtv", None)
-        if dtv is not None:
-            dtv.on_commit.append(self._on_dtv_commit)
-
     # -------------------------------------------------------------- recording
     def _record(self, invariant: str, time: int, message: str) -> None:
         self.violation_count += 1
@@ -207,238 +190,144 @@ class InvariantChecker:
                 Violation(invariant=invariant, time=time, message=message)
             )
 
-    # ------------------------------------------------------------------ hooks
-    def _on_buffer_queued(self, buffer: "FrameBuffer") -> None:
-        if buffer.frame_id is not None:
-            self._expected_latch.append(buffer.frame_id)
+    # ----------------------------------------------------------------- check
+    def check(self, result: "RunResult", log: Iterable[tuple]) -> None:
+        """Check *result* against its emission *log*; annotate the verdict."""
+        from repro.telemetry.session import QUEUED
 
-    def _on_tick(self, timestamp: int, index: int) -> None:
-        scheduler = self._scheduler
-        assert scheduler is not None
-        self._periods_seen.add(scheduler.hw_vsync.period)
-        self._check_conservation(timestamp)
-        self._check_new_drops()
-        self._check_new_pacing_errors(timestamp)
-
-    def _check_conservation(self, now: int) -> None:
-        from repro.graphics.buffer import BufferState
-
-        if "buffer-conservation" in self.waived:
-            return
-        scheduler = self._scheduler
-        assert scheduler is not None
-        queue = scheduler.buffer_queue
-        self.checks += 1
-        queued_slots = sum(
-            1 for b in queue.slots if b.state is BufferState.QUEUED
-        )
-        acquired_slots = sum(
-            1 for b in queue.slots if b.state is BufferState.ACQUIRED
-        )
-        if queued_slots != queue.queued_depth:
-            self._record(
-                "buffer-conservation",
-                now,
-                f"{queued_slots} QUEUED slots but FIFO depth {queue.queued_depth}",
-            )
-        expected_front = 1 if queue.front is not None else 0
-        if acquired_slots != expected_front:
-            self._record(
-                "buffer-conservation",
-                now,
-                f"{acquired_slots} ACQUIRED slots with front={queue.front!r}",
-            )
-        if queue.total_queued != queue.total_acquired + queue.queued_depth:
-            self._record(
-                "buffer-conservation",
-                now,
-                f"queued {queue.total_queued} != acquired {queue.total_acquired} "
-                f"+ depth {queue.queued_depth}",
-            )
-
-    def _check_new_drops(self) -> None:
-        scheduler = self._scheduler
-        assert scheduler is not None
-        drops = scheduler.compositor.drops
-        while self._drops_seen < len(drops):
-            drop = drops[self._drops_seen]
-            self._drops_seen += 1
-            if "drop-accounting" in self.waived:
-                continue
-            self.checks += 1
-            if drop.queued_depth == 0 and drop.frames_in_flight == 0:
-                self._record(
-                    "drop-accounting",
-                    drop.time,
-                    "drop recorded with nothing queued and nothing in flight",
-                )
-
-    def _check_new_pacing_errors(self, now: int) -> None:
-        scheduler = self._scheduler
-        dtv = getattr(scheduler, "dtv", None)
-        if dtv is None:
-            return
-        errors = dtv.pacing_errors_ns
-        new_errors = errors[self._pacing_seen :]
-        self._pacing_seen = len(errors)
-        if "dtv-grid-calibration" in self.waived or len(self._periods_seen) != 1:
-            # A rate switch re-anchors the grid; the modular check only holds
-            # while one period has been in effect for the whole run so far.
-            return
-        (period,) = self._periods_seen
-        for error in new_errors:
-            self.checks += 1
-            if error % period != 0:
-                self._record(
-                    "dtv-grid-calibration",
-                    now,
-                    f"pacing error {error} ns is not a multiple of the "
-                    f"{period} ns period",
-                )
-
-    def _on_present(self, record: "PresentRecord") -> None:
-        scheduler = self._scheduler
-        assert scheduler is not None
-        time = record.present_time
-        if "present-monotone" not in self.waived:
-            self.checks += 1
-            if (
-                self._last_present_time is not None
-                and time <= self._last_present_time
-            ):
-                self._record(
-                    "present-monotone",
-                    time,
-                    f"present at {time} after present at {self._last_present_time}",
-                )
-        self._last_present_time = time
-        if "queue-fifo" not in self.waived:
-            self.checks += 1
-            if not self._expected_latch:
-                self._record(
-                    "queue-fifo", time, f"frame {record.frame_id} presented "
-                    "but nothing was queued"
-                )
-            else:
-                expected = self._expected_latch.pop(0)
-                if record.frame_id != expected:
-                    self._record(
-                        "queue-fifo",
-                        time,
-                        f"frame {record.frame_id} latched before frame {expected}",
-                    )
-        if "present-once" not in self.waived:
-            self.checks += 1
-            if record.frame_id in self._presented:
-                self._record(
-                    "present-once", time, f"frame {record.frame_id} presented twice"
-                )
-            self._presented.add(record.frame_id)
-        frame = scheduler._frame_by_id(record.frame_id)
-        if frame is None:
-            return
-        if "rate-bound-display" not in self.waived and frame.render_rate_hz:
-            self.checks += 1
-            panel_hz = round(period_to_hz(record.refresh_period))
-            if frame.render_rate_hz != panel_hz:
-                self._record(
-                    "rate-bound-display",
-                    time,
-                    f"frame {frame.frame_id} rendered at {frame.render_rate_hz} Hz "
-                    f"displayed on a {panel_hz} Hz panel",
-                )
-        if "content-monotone" not in self.waived:
-            self.checks += 1
-            last = self._last_content.get(frame.decoupled)
-            if last is not None and frame.content_timestamp < last:
-                channel = "decoupled" if frame.decoupled else "vsync"
-                self._record(
-                    "content-monotone",
-                    time,
-                    f"{channel} content time ran backward: "
-                    f"{frame.content_timestamp} after {last}",
-                )
-            self._last_content[frame.decoupled] = frame.content_timestamp
-
-    def _on_frame_spawned(self, frame: "FrameRecord") -> None:
-        if not frame.decoupled:
-            return
-        scheduler = self._scheduler
-        assert scheduler is not None
-        fpe = getattr(scheduler, "fpe", None)
-        if fpe is None or "accumulation-limit" in self.waived:
-            return
-        self.checks += 1
-        if fpe.occupancy > fpe.prerender_limit:
-            self._record(
-                "accumulation-limit",
-                frame.trigger_time,
-                f"frame {frame.frame_id} triggered at occupancy {fpe.occupancy} "
-                f"> pre-render limit {fpe.prerender_limit}",
-            )
-
-    def _on_dtv_commit(self, prediction) -> None:
-        scheduler = self._scheduler
-        assert scheduler is not None
-        now = scheduler.sim.now
-        dtv = scheduler.dtv
-        period = scheduler.hw_vsync.period
-        if "dts-future-slot" not in self.waived:
-            self.checks += 1
-            if prediction.predicted_present <= now:
-                self._record(
-                    "dts-future-slot",
-                    now,
-                    f"committed present {prediction.predicted_present} is not "
-                    f"ahead of commit time {now}",
-                )
-            floor = (
-                prediction.predicted_present
-                - dtv.pipeline_depth_periods * period
-            )
-            if prediction.d_timestamp < floor:
-                self._record(
-                    "dts-future-slot",
-                    now,
-                    f"D-Timestamp {prediction.d_timestamp} back-dated past the "
-                    f"{dtv.pipeline_depth_periods}-period convention floor {floor}",
-                )
-        if "dts-monotone" not in self.waived:
-            self.checks += 1
-            if (
-                self._last_committed_d_ts is not None
-                and prediction.d_timestamp <= self._last_committed_d_ts
-            ):
-                self._record(
-                    "dts-monotone",
-                    now,
-                    f"D-Timestamp {prediction.d_timestamp} does not advance past "
-                    f"{self._last_committed_d_ts}",
-                )
-        self._last_committed_d_ts = prediction.d_timestamp
-
-    # ------------------------------------------------------------ run finish
-    def _check_dtv_tracking(self, result: "RunResult") -> None:
-        scheduler = self._scheduler
-        dtv = getattr(scheduler, "dtv", None)
-        if dtv is None or "dtv-tracking" in self.waived:
-            return
-        for frame_id in dtv.pending_frame_ids:
-            self.checks += 1
-            frame = scheduler._frame_by_id(frame_id)
-            if frame is not None and frame.present_time is not None:
-                self._record(
-                    "dtv-tracking",
-                    result.end_time,
-                    f"frame {frame_id} presented at {frame.present_time} but its "
-                    "prediction was never calibrated",
-                )
-
-    def _annotate(self, result: "RunResult") -> None:
-        """Result hook: final checks plus the structured summary in extra."""
-        self._check_conservation(result.end_time)
-        self._check_new_drops()
-        self._check_dtv_tracking(result)
+        waived, record, frames = self.waived, self._record, result.frames
+        drops = result.drops
+        latch_order: collections.deque[int] = collections.deque()
+        presented: set[int] = set()
+        last_content: dict[bool, int] = {}
+        last_present = last_d_ts = committed = None
+        tracked: dict[int, int] = {}  # frame id -> committed present (the DTV's)
+        pacing: list[int] = []  # DTV pacing errors since the last tick
+        periods: set[int] = set()
+        drops_seen = 0
+        tick: tuple = ()
+        for kind, data in log:
+            if kind == QUEUED:
+                latch_order.append(data)
+            elif kind == V_PRESENT:
+                present = result.presents[data]
+                time, frame_id = present.present_time, present.frame_id
+                if "present-monotone" not in waived:
+                    self.checks += 1
+                    if last_present is not None and time <= last_present:
+                        message = f"present at {time} after present at {last_present}"
+                        record("present-monotone", time, message)
+                last_present = time
+                if "queue-fifo" not in waived:
+                    self.checks += 1
+                    if not latch_order:
+                        message = f"frame {frame_id} presented but nothing was queued"
+                        record("queue-fifo", time, message)
+                    elif frame_id != (expected := latch_order.popleft()):
+                        message = f"frame {frame_id} latched before frame {expected}"
+                        record("queue-fifo", time, message)
+                if "present-once" not in waived:
+                    self.checks += 1
+                    if frame_id in presented:
+                        message = f"frame {frame_id} presented twice"
+                        record("present-once", time, message)
+                    presented.add(frame_id)
+                # The DTV's calibration: a tracked frame's pacing error.
+                if (predicted := tracked.pop(frame_id, None)) is not None:
+                    pacing.append(time - predicted)
+                if not 0 <= frame_id < len(frames):
+                    continue
+                frame = frames[frame_id]
+                rate = frame.render_rate_hz
+                if "rate-bound-display" not in waived and rate:
+                    self.checks += 1
+                    panel_hz = round(period_to_hz(present.refresh_period))
+                    if rate != panel_hz:
+                        message = (
+                            f"frame {frame_id} rendered at {rate} Hz displayed "
+                            f"on a {panel_hz} Hz panel"
+                        )
+                        record("rate-bound-display", time, message)
+                if "content-monotone" not in waived:
+                    self.checks += 1
+                    content = frame.content_timestamp
+                    last = last_content.get(frame.decoupled)
+                    if last is not None and content < last:
+                        channel = "decoupled" if frame.decoupled else "vsync"
+                        message = f"content time ran backward: {content} after {last}"
+                        record("content-monotone", time, f"{channel} {message}")
+                    last_content[frame.decoupled] = content
+            elif kind == V_TICK:
+                tick = data
+                time, period = data[0], data[1]
+                periods.add(period)
+                self._check_conservation(time, data[2:])
+                while drops_seen < len(drops) and drops[drops_seen].time <= time:
+                    self._check_drop(drops[drops_seen])
+                    drops_seen += 1
+                # A rate switch re-anchors the grid; the modular check only
+                # holds while one period has been in effect for the whole run.
+                if "dtv-grid-calibration" not in waived and len(periods) == 1:
+                    for error in pacing:
+                        self.checks += 1
+                        if error % period != 0:
+                            message = (
+                                f"pacing error {error} ns is not a multiple of "
+                                f"the {period} ns period"
+                            )
+                            record("dtv-grid-calibration", time, message)
+                pacing = []
+            elif kind == V_IDLE:
+                time, period = tick[0], tick[1]
+                for skipped in range(1, data + 1):
+                    self._check_conservation(time + skipped * period, tick[2:])
+            elif kind == V_COMMIT:
+                time, committed, d_ts, depth_ns = data
+                if "dts-future-slot" not in waived:
+                    self.checks += 1
+                    if committed <= time:
+                        message = (
+                            f"committed present {committed} is not ahead of "
+                            f"commit time {time}"
+                        )
+                        record("dts-future-slot", time, message)
+                    if d_ts < (floor := committed - depth_ns):
+                        message = (
+                            f"D-Timestamp {d_ts} back-dated past the {depth_ns} ns "
+                            f"convention floor {floor}"
+                        )
+                        record("dts-future-slot", time, message)
+                if "dts-monotone" not in waived:
+                    self.checks += 1
+                    if last_d_ts is not None and d_ts <= last_d_ts:
+                        message = f"does not advance past {last_d_ts}"
+                        record("dts-monotone", time, f"D-Timestamp {d_ts} {message}")
+                last_d_ts = d_ts
+            elif kind == V_SPAWN:
+                frame_id, occupancy, limit = data
+                tracked[frame_id] = committed
+                if "accumulation-limit" not in waived:
+                    self.checks += 1
+                    if occupancy > limit:
+                        message = (
+                            f"frame {frame_id} triggered at occupancy {occupancy} "
+                            f"> pre-render limit {limit}"
+                        )
+                        trigger_time = frames[frame_id].trigger_time
+                        record("accumulation-limit", trigger_time, message)
+            elif kind == V_END:
+                self._check_conservation(result.end_time, data[:-1])
+                for drop in drops[drops_seen:]:
+                    self._check_drop(drop)
+                if data[-1] is not None and "dtv-tracking" not in waived:
+                    for frame_id in data[-1]:  # the DTV's pending frame ids
+                        self.checks += 1
+                        if (present_time := frames[frame_id].present_time) is not None:
+                            message = (
+                                f"frame {frame_id} presented at {present_time} but "
+                                "its prediction was never calibrated"
+                            )
+                            record("dtv-tracking", result.end_time, message)
         result.extra["invariants"] = {
             "checked": self.checks,
             "violation_count": self.violation_count,
@@ -447,8 +336,32 @@ class InvariantChecker:
             "relaxed": self.relaxed,
         }
 
+    def _check_conservation(self, time: int, state: tuple) -> None:
+        if "buffer-conservation" in self.waived:
+            return
+        queued_slots, depth, acquired_slots, has_front, queued, acquired = state
+        self.checks += 1
+        if queued_slots != depth:
+            message = f"{queued_slots} QUEUED slots but FIFO depth {depth}"
+            self._record("buffer-conservation", time, message)
+        if acquired_slots != (1 if has_front else 0):
+            front = "a" if has_front else "no"
+            message = f"{acquired_slots} ACQUIRED slots with {front} front buffer"
+            self._record("buffer-conservation", time, message)
+        if queued != acquired + depth:
+            message = f"queued {queued} != acquired {acquired} + depth {depth}"
+            self._record("buffer-conservation", time, message)
+
+    def _check_drop(self, drop: "DropEvent") -> None:
+        if "drop-accounting" in self.waived:
+            return
+        self.checks += 1
+        if drop.queued_depth == 0 and drop.frames_in_flight == 0:
+            message = "drop recorded with nothing queued and nothing in flight"
+            self._record("drop-accounting", drop.time, message)
+
     def enforce(self, result: "RunResult") -> None:
-        """Raise on violations when strict (called at the end of ``run()``)."""
+        """Raise on violations when strict (called at the end of a run)."""
         if not self.strict or self.relaxed is not None:
             return
         if self.violation_count == 0:

@@ -27,11 +27,13 @@ def _telemetry_isolation():
 def _strict_verification():
     """Run the whole suite under the strict invariant checker.
 
-    Every scheduler any test constructs gets a checker via the process-wide
-    switch, and a violated invariant fails the test loudly
-    (:class:`~repro.errors.InvariantViolationError`) instead of shipping a
-    silently-wrong trace. Tests that intentionally break invariants pass
-    ``verify=False`` (or a relaxed checker) explicitly.
+    Every run any test starts gets a checker via the process-wide switch,
+    on either engine: the checker reads the finished run and its emission
+    log, so the switch does not change which engine runs a spec, and
+    trace-pure specs still replay. A violated invariant fails the test
+    loudly (:class:`~repro.errors.InvariantViolationError`) instead of
+    shipping a silently-wrong trace. Tests that intentionally break
+    invariants pass ``verify=False`` (or a relaxed checker) explicitly.
     """
     from repro.verify import runtime
 

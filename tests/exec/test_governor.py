@@ -160,18 +160,7 @@ def test_on_tick_run_matches_event_by_event_accounting():
 
 
 # ---------------------------------------------------------- engine parity
-@pytest.fixture
-def verification_off():
-    """Forced-fastpath runs require the process verify switch off (the
-    suite-wide strict fixture turns it on)."""
-    from repro.verify import runtime
-
-    runtime.set_enabled(False)
-    yield
-    runtime.reset()
-
-
-def test_measure_run_events_equal_on_both_engines(verification_off):
+def test_measure_run_events_equal_on_both_engines():
     spec = _burst("count-parity")
     with counting_probe() as probe:
         execute_spec(dataclasses.replace(spec, engine="event"))
@@ -183,7 +172,7 @@ def test_measure_run_events_equal_on_both_engines(verification_off):
     assert event_count > 4
 
 
-def test_budget_trip_byte_identical_across_engines(verification_off):
+def test_budget_trip_byte_identical_across_engines():
     spec = _burst("engine-trip", duration_ms=200.0, target_fdps=6.0)
     natural = measure_run_events(spec)
     for budget in (

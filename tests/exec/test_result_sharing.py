@@ -41,8 +41,8 @@ def _unique_results(study_results) -> list[RunResult]:
 def matrix():
     """Every quick study, then the traced ones with telemetry, in-process.
 
-    Verification is off, as in the benchmark's workloads, so every run takes
-    the engine a plain ``repro --all --quick`` would.
+    Verification is off, as in the benchmark's workloads and a plain
+    ``repro --all --quick``.
     """
     order = [key for key in registry.EXPERIMENTS if key != "headline"] + ["headline"]
     executor = Executor(jobs=1, backend="inprocess", cache=False)

@@ -75,7 +75,7 @@ def test_spec_ineligibility_names_the_observer():
 
     runtime.set_enabled(False)  # the suite-wide strict fixture resets this
     assert spec_ineligibility(_burst_spec(verify=False)) is None
-    assert "invariant checker" in spec_ineligibility(_burst_spec(verify=True))
+    assert spec_ineligibility(_burst_spec(verify=True)) is None
     assert spec_ineligibility(_burst_spec(telemetry=True)) is None
     disabled = _burst_spec(
         architecture="dvsync",
@@ -85,10 +85,31 @@ def test_spec_ineligibility_names_the_observer():
     assert "fallback" in spec_ineligibility(disabled)
 
 
-def test_process_wide_verify_switch_blocks_fastpath():
+def test_process_wide_verify_switch_keeps_fastpath():
     # The suite-wide strict fixture keeps the switch armed in this module.
-    reason = spec_ineligibility(_burst_spec(verify=False))
-    assert reason is not None and "verification switch" in reason
+    spec = _burst_spec(verify=False, engine="fastpath")
+    assert spec_ineligibility(spec) is None
+    verdict = execute_spec(spec).extra["invariants"]
+    assert verdict["checked"] > 0 and verdict["violation_count"] == 0
+
+
+def test_strict_checker_raises_on_the_fastpath():
+    from repro import simulate
+    from repro.core.api import SimConfig
+    from repro.errors import InvariantViolationError
+    from repro.verify.invariants import InvariantChecker
+
+    spec = _burst_spec()
+    checker = InvariantChecker(strict=True)
+    checker._record("present-once", 0, "synthetic violation for the test")
+    with pytest.raises(InvariantViolationError, match="present-once"):
+        simulate(
+            spec.driver.build(),
+            spec.device,
+            architecture="vsync",
+            config=SimConfig(buffer_count=3, engine="fastpath"),
+            verify=checker,
+        )
 
 
 #: ``(telemetry switch, verify switch, live-driver (telemetry, verify),
@@ -99,9 +120,9 @@ _VERDICT_CASES = {
     "telemetry-on": (False, False, (True, False), (True, False), None, True),
     "telemetry-off": (False, False, (False, False), (False, False), None, True),
     "telemetry-switch": (True, False, (None, False), (False, False), None, True),
-    "verify-on": (False, False, (False, True), (False, True), None, False),
+    "verify-on": (False, False, (False, True), (False, True), None, True),
     "verify-off": (False, False, (False, False), (False, False), None, True),
-    "verify-switch": (False, True, (False, None), (False, False), None, False),
+    "verify-switch": (False, True, (False, None), (False, False), None, True),
     "dvsync-disabled": (
         False, False, (False, False), (False, False),
         DVSyncConfig(buffer_count=4, enabled=False), False,
@@ -139,7 +160,7 @@ def test_live_driver_and_spec_paths_agree_on_eligibility(case):
 
 # ---------------------------------------------------------------- fallback
 def test_forced_fastpath_raises_for_ineligible_spec():
-    spec = _burst_spec(verify=True, engine="fastpath")
+    spec = _burst_spec(faults="vsync-jitter(sigma_us=300)", engine="fastpath")
     with pytest.raises(ConfigurationError, match="cannot replay this spec"):
         execute_spec(spec)
 

@@ -7,8 +7,8 @@ enforces over the full quick matrix, kept small enough to run on every
 pytest invocation.
 
 The suite turns the process-wide invariant checker *off* (overriding the
-suite-wide strict fixture): an armed checker rides the event loop, which is
-exactly the kind of observer that makes a spec fastpath-ineligible.
+suite-wide strict fixture), so most cases compare unverified runs; the
+verified cases set ``verify=True`` and compare the checker's verdict too.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from repro.verify.oracle import ORACLE_SCENARIOS
 
 @pytest.fixture(autouse=True)
 def _verification_off():
-    """Fastpath eligibility requires the process verify switch off."""
+    """Unverified unless a case asks for the checker itself."""
     from repro.verify import runtime
 
     runtime.set_enabled(False)
@@ -214,9 +214,8 @@ def test_golden_corpus_digests_are_engine_independent():
     """Golden-trace digests come out identical from either engine.
 
     The committed corpus digests the run *with* the invariant checker's
-    verdict riding in ``extra`` (checker runs are event-only by design), so
-    the comparison here strips the checker: every trace-pure golden spec
-    must produce the same behavioural digest under both engines.
+    verdict riding in ``extra``; every trace-pure golden spec must produce
+    that digest under both engines.
     """
     from repro.fastpath.engine import spec_ineligibility
     from repro.fastpath.profile import load_compiled
@@ -224,13 +223,81 @@ def test_golden_corpus_digests_are_engine_independent():
 
     covered = 0
     for name, spec in golden_specs().items():
-        bare = dataclasses.replace(spec, verify=False)
-        if spec_ineligibility(bare) is not None:
+        assert spec.verify, name
+        if spec_ineligibility(spec) is not None:
             continue
-        if load_compiled(bare.driver)[1] is None:
+        if load_compiled(spec.driver)[1] is None:
             continue
-        event = execute_spec(dataclasses.replace(bare, engine="event"))
-        fast = execute_spec(dataclasses.replace(bare, engine="fastpath"))
+        event = execute_spec(dataclasses.replace(spec, engine="event"))
+        fast = execute_spec(dataclasses.replace(spec, engine="fastpath"))
         assert run_digest(fast) == run_digest(event), name
         covered += 1
     assert covered >= 4  # the steady/droppy pairs at minimum
+
+
+def _verified_cases():
+    """The oracle corpus and the golden specs, each with the checker on."""
+    from repro.verify.golden import golden_specs
+
+    for case in _oracle_cases():
+        (spec,) = case.values
+        yield pytest.param(
+            dataclasses.replace(spec, verify=True), id=f"{case.id}/verified"
+        )
+    for name, spec in golden_specs().items():
+        yield pytest.param(
+            dataclasses.replace(spec, verify=True), id=f"golden/{name}"
+        )
+
+
+@pytest.mark.parametrize("spec", _verified_cases())
+def test_verified_runs_are_byte_identical_under_both_engines(spec):
+    """The checker's verdict, read from either engine's log, is the same."""
+    event_wire, fast_wire = run_both(spec)
+    assert '"invariants"' in event_wire
+    assert event_wire == fast_wire
+
+
+def _expand_idle(log):
+    """The replay's idle entries as the ticks the event engine logs."""
+    from repro.verify.invariants import V_IDLE, V_TICK
+
+    expanded = []
+    for kind, data in log:
+        if kind != V_IDLE:
+            expanded.append((kind, data))
+            continue
+        (time, period, *state) = expanded[-1][1]
+        for skipped in range(1, data + 1):
+            expanded.append((V_TICK, (time + skipped * period, period, *state)))
+    return expanded
+
+
+@pytest.mark.parametrize("arch", ["vsync", "dvsync"])
+def test_verified_log_matches_the_event_engine(arch):
+    """Both engines write the same emission log, idle gaps expanded."""
+    from repro import simulate
+    from repro.core.api import SimConfig
+    from repro.verify.invariants import InvariantChecker
+
+    class Capture(InvariantChecker):
+        def check(self, result, log):
+            self.log = list(log)
+            super().check(result, log)
+
+    stress = _stress_specs()[0].values[0].driver
+    logs = []
+    for engine in ("event", "fastpath"):
+        checker = Capture()
+        simulate(
+            stress.build(),
+            PIXEL_5,
+            architecture=arch,
+            config=SimConfig(engine=engine),
+            telemetry=True,
+            verify=checker,
+        )
+        logs.append(_expand_idle(checker.log))
+    event_log, fast_log = logs
+    assert len(event_log) > 100
+    assert event_log == fast_log

@@ -19,7 +19,7 @@ CORPUS_DIR = pathlib.Path(__file__).parent / "corpus"
 
 @pytest.fixture(autouse=True)
 def _verification_off():
-    """Fastpath eligibility requires the process verify switch off."""
+    """Keep the process verify switch off: a spec's ``verify`` flag decides."""
     from repro.verify import runtime
 
     runtime.set_enabled(False)

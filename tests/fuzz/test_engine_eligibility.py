@@ -3,7 +3,9 @@
 For every rule in :func:`repro.fastpath.engine.spec_ineligibility` the
 contract is three-sided: the rule names its reason, ``engine="auto"`` falls
 back to the event engine (byte-identical results), and ``engine="fastpath"``
-refuses with a :class:`ConfigurationError` carrying that same reason.
+refuses with a :class:`ConfigurationError` carrying that same reason. The
+verification rows are eligible: the replay writes the log the invariant
+checker reads, so both engines return the same verdict.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from repro.core.config import DVSyncConfig
 from repro.display.device import PIXEL_5
 from repro.errors import ConfigurationError
 from repro.exec.executor import execute_spec
+from repro.exec.serialize import result_to_wire
 from repro.exec.spec import DriverSpec, RunSpec, canonical_json
 from repro.fastpath.engine import spec_ineligibility
 from repro.fuzz.relations import behavioral_wire
@@ -36,8 +39,9 @@ def _spec(**overrides) -> RunSpec:
     return RunSpec(**base)
 
 
-#: (case id, spec overrides, process switch to flip, reason fragment,
-#:  whether the event fallback itself can run the spec)
+#: (case id, spec overrides, process switch to flip, reason fragment or
+#:  ``None`` for an eligible spec, whether the event fallback itself can run
+#:  the spec)
 RULES = [
     (
         "faults",
@@ -57,14 +61,8 @@ RULES = [
         "degradation watchdog",
         True,
     ),
-    ("spec-verify", {"verify": True}, None, "invariant checker", True),
-    (
-        "process-verify",
-        {},
-        "verify",
-        "process-wide verification switch",
-        True,
-    ),
+    ("spec-verify", {"verify": True}, None, None, True),
+    ("process-verify", {}, "verify", None, True),
     (
         "dvsync-disabled",
         {
@@ -115,6 +113,17 @@ def test_rule_names_reason_and_gates_both_engines(
     flip_switch(switch)
 
     reason = spec_ineligibility(spec)
+    if fragment is None:
+        assert reason is None
+        fast, event = (
+            canonical_json(
+                result_to_wire(execute_spec(dataclasses.replace(spec, engine=engine)))
+            )
+            for engine in ("fastpath", "event")
+        )
+        assert '"invariants"' in fast
+        assert fast == event
+        return
     assert reason is not None and fragment in reason
 
     with pytest.raises(ConfigurationError) as excinfo:

@@ -86,7 +86,7 @@ def test_engine_parity_applies_only_to_eligible_specs():
     relation = EngineParity()
     assert relation.applies(_spec())
     assert not relation.applies(_spec(faults="vsync-jitter(sigma_us=300)"))
-    assert not relation.applies(_spec(verify=True))
+    assert relation.applies(_spec(verify=True))  # verified runs replay too
     assert relation.applies(_spec(telemetry=True))  # recorded runs replay too
 
 

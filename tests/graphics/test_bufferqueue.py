@@ -84,15 +84,6 @@ def test_cancel_queued_buffer_raises():
         queue.cancel(buffer)
 
 
-def test_on_buffer_queued_hook():
-    queue = make_queue()
-    seen = []
-    queue.on_buffer_queued.append(lambda b: seen.append(b.frame_id))
-    buffer = queue.try_dequeue()
-    queue.queue(buffer, frame_id=42, content_timestamp=0, render_rate_hz=60, now=0)
-    assert seen == [42]
-
-
 def test_on_slot_freed_hook_fires_on_acquire_release():
     queue = make_queue(capacity=2)
     freed = []

@@ -1,4 +1,4 @@
-"""Tests for the runtime invariant checker."""
+"""Tests for the invariant checker: whole runs, and one log per invariant."""
 
 import pytest
 
@@ -6,13 +6,24 @@ from repro.core.config import DVSyncConfig
 from repro.core.dvsync import DVSyncScheduler
 from repro.core.ltpo_codesign import LTPOCoDesign
 from repro.display.device import MATE_60_PRO, PIXEL_5
+from repro.display.hal import PresentRecord
 from repro.display.ltpo import LTPOController
 from repro.errors import ConfigurationError, InvariantViolationError
+from repro.pipeline.compositor import DropEvent
+from repro.pipeline.frame import FrameRecord, FrameWorkload
+from repro.pipeline.scheduler_base import RunResult
+from repro.telemetry.session import QUEUED
 from repro.testing import light_params, make_animation, run_dvsync, run_vsync
 from repro.units import ms
 from repro.verify import runtime
 from repro.verify.invariants import (
     INVARIANTS,
+    V_COMMIT,
+    V_END,
+    V_IDLE,
+    V_PRESENT,
+    V_SPAWN,
+    V_TICK,
     InvariantChecker,
     Violation,
     resolve_checker,
@@ -97,11 +108,6 @@ def test_checker_serves_exactly_one_run():
         )
 
 
-def test_arm_requires_attach():
-    with pytest.raises(ConfigurationError):
-        InvariantChecker().arm()
-
-
 def test_waive_rejects_unknown_invariant():
     with pytest.raises(ConfigurationError):
         InvariantChecker().waive("no-such-invariant", "because")
@@ -174,3 +180,160 @@ def test_ltpo_ablation_waives_rate_bound_display():
     # checker reported no *other* violations.
     assert bridge.rate_mismatched_presents > 0
     assert result.extra["invariants"]["violation_count"] == 0
+
+
+# ------------------------------------------------- one log per invariant
+P = 16_666_667  # a 60 Hz period
+IDLE = (0, 0, 0, False, 0, 0)  # queue state: nothing queued, no front buffer
+
+
+def _frame(frame_id, content=0, decoupled=False, rate=60, present=None):
+    frame = FrameRecord(
+        frame_id=frame_id,
+        workload=FrameWorkload(ui_ns=1, render_ns=1),
+        trigger_time=frame_id * P,
+        content_timestamp=content,
+        decoupled=decoupled,
+    )
+    frame.render_rate_hz = rate
+    frame.present_time = present
+    return frame
+
+
+def _present(frame_id, time):
+    return PresentRecord(
+        frame_id=frame_id,
+        present_time=time,
+        vsync_index=0,
+        content_timestamp=0,
+        queue_depth_after=0,
+        refresh_period=P,
+    )
+
+
+def _result(frames=(), presents=(), drops=()):
+    return RunResult(
+        scheduler="log",
+        scenario="log",
+        device=PIXEL_5,
+        buffer_count=3,
+        frames=list(frames),
+        drops=list(drops),
+        presents=list(presents),
+        start_time=0,
+        end_time=10 * P,
+        ui_busy_ns=0,
+        render_busy_ns=0,
+        gpu_busy_ns=0,
+    )
+
+
+def _tick(time, state=IDLE):
+    return (V_TICK, (time, P) + state)
+
+
+def _end(pending=None, state=IDLE):
+    return (V_END, state + (pending,))
+
+
+def _shown(*frame_ids):
+    """Frames queued in order, then presented one period apart."""
+    log = [(QUEUED, frame_id) for frame_id in frame_ids]
+    log += [(V_PRESENT, index) for index in range(len(frame_ids))]
+    return log
+
+
+#: Invariant id -> (result, log) that breaks exactly that invariant.
+BREAKING_LOGS = {
+    "buffer-conservation": (_result(), [_tick(P, (1, 0, 0, False, 1, 1)), _end()]),
+    "queue-fifo": (
+        _result([_frame(0)], [_present(0, 2 * P)]),
+        [(V_PRESENT, 0), _end()],
+    ),
+    "present-monotone": (
+        _result([_frame(0), _frame(1)], [_present(0, 3 * P), _present(1, 2 * P)]),
+        _shown(0, 1) + [_end()],
+    ),
+    "present-once": (
+        _result([_frame(0)], [_present(0, 2 * P), _present(0, 3 * P)]),
+        _shown(0, 0) + [_end()],
+    ),
+    "content-monotone": (
+        _result(
+            [_frame(0, content=P), _frame(1, content=0)],
+            [_present(0, 2 * P), _present(1, 3 * P)],
+        ),
+        _shown(0, 1) + [_end()],
+    ),
+    "dts-monotone": (
+        _result(),
+        [
+            (V_COMMIT, (0, 3 * P, P, 3 * P)),
+            (V_COMMIT, (P, 4 * P, P, 3 * P)),
+            _end(),
+        ],
+    ),
+    "dts-future-slot": (_result(), [(V_COMMIT, (5 * P, 4 * P, 2 * P, 2 * P)), _end()]),
+    "accumulation-limit": (
+        _result([_frame(0, decoupled=True)]),
+        [(V_COMMIT, (0, 3 * P, P, 2 * P)), (V_SPAWN, (0, 4, 3)), _end()],
+    ),
+    "rate-bound-display": (
+        _result([_frame(0, rate=120)], [_present(0, 2 * P)]),
+        _shown(0) + [_end()],
+    ),
+    "dtv-grid-calibration": (
+        _result([_frame(0, decoupled=True)], [_present(0, 3 * P + 5)]),
+        [
+            (V_COMMIT, (0, 3 * P, P, 2 * P)),
+            (V_SPAWN, (0, 1, 3)),
+            *_shown(0),
+            _tick(3 * P),
+            _end(pending=()),
+        ],
+    ),
+    "drop-accounting": (
+        _result(drops=[DropEvent(P, 0, queued_depth=0, frames_in_flight=0)]),
+        [_tick(P), _end()],
+    ),
+    "dtv-tracking": (
+        _result([_frame(0, decoupled=True, present=2 * P)]),
+        [_end(pending=(0,))],
+    ),
+}
+
+
+def test_every_invariant_has_a_breaking_log():
+    assert sorted(BREAKING_LOGS) == sorted(INVARIANTS)
+
+
+@pytest.mark.parametrize("invariant", sorted(BREAKING_LOGS))
+def test_breaking_log_fires_exactly_its_invariant(invariant):
+    result, log = BREAKING_LOGS[invariant]
+    checker = InvariantChecker()
+    checker.check(result, log)
+    verdict = result.extra["invariants"]
+    assert verdict["violation_count"] >= 1
+    assert {v[0] for v in verdict["violations"]} == {invariant}
+
+
+def test_waived_invariant_is_neither_checked_nor_counted():
+    result, log = BREAKING_LOGS["drop-accounting"]
+    strict = InvariantChecker()
+    strict.check(result, log)
+    waiving = InvariantChecker()
+    waiving.waive("drop-accounting", "test")
+    waiving.check(result, log)
+    verdict = result.extra["invariants"]
+    assert verdict["violation_count"] == 0
+    assert verdict["checked"] == strict.checks - 1
+    assert verdict["waived"] == {"drop-accounting": "test"}
+
+
+def test_idle_entry_checks_each_skipped_tick_in_the_last_ticks_state():
+    broken = (1, 0, 0, False, 1, 1)
+    checker = InvariantChecker()
+    checker.check(_result(), [_tick(P, broken), (V_IDLE, 3), _end()])
+    times = [v.time for v in checker.violations]
+    assert times == [P, 2 * P, 3 * P, 4 * P]
+    assert checker.checks == 5  # four ticks and the run end
