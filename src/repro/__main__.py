@@ -14,8 +14,8 @@ and over the fault drill, for robustness questions:
 
 and over the telemetry subsystem, for observability questions:
 
-    python -m repro fig05 --trace out.json --profile
-    python -m repro --all --quick --trace all.json --profile
+    python -m repro fig05 --trace out.json
+    python -m repro --all --quick --trace all.json
 
 and over the verification subsystem, for correctness questions:
 
@@ -50,12 +50,9 @@ from repro.experiments import registry
 from repro.experiments.registry import EXPERIMENTS, run_all, run_experiment
 from repro.experiments.runner import DEFAULT_RUNS
 from repro.faults.drill import DRILL_SCENARIOS, run_fault_drill
+from repro.metrics.report import format_table
 from repro.telemetry import runtime as telemetry_runtime
 from repro.telemetry.chrome import save_chrome_trace
-from repro.telemetry.profiler import render_profile, write_bench_telemetry
-
-#: Perf-trajectory artifact ``--all`` writes when telemetry is recording.
-BENCH_TELEMETRY_PATH = "BENCH_telemetry.json"
 
 
 def _cache_main(argv: list[str]) -> int:
@@ -284,15 +281,8 @@ def main(argv: list[str] | None = None) -> int:
         metavar="PATH",
         help=(
             "record telemetry and write a Chrome trace JSON of every "
-            "instrumented run (load in Perfetto or chrome://tracing)"
-        ),
-    )
-    parser.add_argument(
-        "--profile",
-        action="store_true",
-        help=(
-            "record telemetry and print the wall-clock profile (per-stage "
-            "self time, sim event-loop time, executor/cache activity)"
+            "instrumented run (load in Perfetto or chrome://tracing), then "
+            "print the runs' merged metrics"
         ),
     )
     args = parser.parse_args(argv)
@@ -300,8 +290,7 @@ def main(argv: list[str] | None = None) -> int:
     if unknown:
         parser.error(f"unknown experiment id(s) {', '.join(unknown)}; see --list")
 
-    recording = args.trace is not None or args.profile
-    if recording:
+    if args.trace is not None:
         telemetry_runtime.reset()
         telemetry_runtime.set_enabled(True)
 
@@ -415,20 +404,17 @@ def main(argv: list[str] | None = None) -> int:
             )
         if executor.cache is not None:
             print(executor.cache.describe())
-        if recording:
+        if args.trace is not None:
             collector = telemetry_runtime.collector()
-            if args.trace is not None:
-                document = save_chrome_trace(args.trace, collector.snapshots)
-                print(
-                    f"trace: {args.trace} ({len(collector.snapshots)} runs, "
-                    f"{len(document['traceEvents'])} events)"
-                )
-            if args.profile or args.all:
-                print()
-                print(render_profile(collector))
-            if args.all:
-                write_bench_telemetry(BENCH_TELEMETRY_PATH, collector)
-                print(f"perf trajectory: {BENCH_TELEMETRY_PATH}")
+            document = save_chrome_trace(args.trace, collector.snapshots)
+            print(
+                f"trace: {args.trace} ({len(collector.snapshots)} runs, "
+                f"{len(document['traceEvents'])} events)"
+            )
+            metrics = collector.merged_metrics()
+            rows = [[name, metrics.value(name)] for name in metrics.names()]
+            if rows:
+                print(format_table(["metric", "value"], rows))
     except BrokenPipeError:  # piping into `head` etc. is fine
         pass
     executor.close()

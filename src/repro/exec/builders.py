@@ -97,13 +97,7 @@ def chaos_driver(
                 f"chaos driver {name!r} refuses kill mode outside a pool worker"
             )
         os.kill(os.getpid(), signal.SIGKILL)
-    driver = burst_animation(name, target_fdps=target_fdps, duration_ms=duration_ms)
-    if mode == "sleep":
-        # The replay engine builds a trace-pure driver once per process and
-        # caches it, so a retry would skip the stall. Without a profile every
-        # attempt builds, and stalls, again.
-        driver.replay_profile = lambda: None
-    return driver
+    return burst_animation(name, target_fdps=target_fdps, duration_ms=duration_ms)
 
 
 def memory_hog(

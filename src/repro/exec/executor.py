@@ -152,6 +152,12 @@ def _oom_message(memory_mb: int | None) -> str:
     return "run exhausted available memory"
 
 
+def _timeout_message(timeout_s: float) -> str:
+    # Deliberately free of measured wall times: failure records must be
+    # byte-identical across reruns with the same retry seed.
+    return f"run exceeded its {timeout_s:g}s deadline"
+
+
 #: The in-process attempt's stand-in for :func:`address_space_cap`.
 _UNCAPPED = contextlib.nullcontext()
 
@@ -175,7 +181,12 @@ def _attempt(spec: RunSpec | dict) -> dict:
     Budget trips (``BudgetExceededError``) and ooms carry no traceback:
     their envelopes are deterministic functions of spec + budget,
     byte-identical across backends and engines.
+    ``spec.timeout_s``, the effective deadline, is enforced post-hoc: an
+    attempt that overran it is a timeout and evicts the replay driver its
+    own build cached, so a retry in this process builds, and overruns, again.
     """
+    from repro.fastpath.profile import evict_profile, profile_cached
+
     started = time.perf_counter()
     in_pool = isinstance(spec, dict)
     memory_mb = None
@@ -184,11 +195,17 @@ def _attempt(spec: RunSpec | dict) -> dict:
             spec = RunSpec.from_wire(spec)
         if spec.budget is not None:
             memory_mb = spec.budget.memory_mb
+        built_here = not profile_cached(spec.driver)
         with address_space_cap(memory_mb) if in_pool else _UNCAPPED:
             result = execute_spec(spec)
             if in_pool:
                 result = result_to_wire(result)
-        return ok_envelope(result, time.perf_counter() - started)
+        seconds = time.perf_counter() - started
+        if spec.timeout_s is not None and seconds > spec.timeout_s:
+            if built_here:
+                evict_profile(spec.driver)
+            return error_envelope("timeout", _timeout_message(spec.timeout_s), None)
+        return ok_envelope(result, seconds)
     except BudgetExceededError as exc:
         return error_envelope("budget", str(exc), None)
     except MemoryError:
@@ -285,12 +302,11 @@ class ExecStats:
 class _Task:
     """Mutable per-spec supervision state for one batch."""
 
-    __slots__ = ("key", "spec", "timeout_s", "attempts", "suspect", "resume_at")
+    __slots__ = ("key", "spec", "attempts", "suspect", "resume_at")
 
-    def __init__(self, key: str, spec: RunSpec, timeout_s: float | None) -> None:
+    def __init__(self, key: str, spec: RunSpec) -> None:
         self.key = key
-        self.spec = spec
-        self.timeout_s = timeout_s
+        self.spec = spec  # carries the effective deadline and budget
         self.attempts = 0
         self.suspect = False  # was in flight when a pool broke
         self.resume_at = 0.0  # monotonic instant the next attempt may start
@@ -496,17 +512,16 @@ class Executor:
                 continue
             if self.cache is not None:
                 self.stats.cache_misses += 1
+            # The executor defaults ride the wire like a spec's own; both
+            # are excluded from content_hash, so the key computed above
+            # still addresses the result.
             timeout_s = spec.timeout_s if spec.timeout_s is not None else self.timeout_s
-            if spec.budget is None and self.budget is not None:
-                # The executor default budget rides the wire like a spec's
-                # own; budget is excluded from content_hash, so the key
-                # computed above still addresses the result.
-                spec = dataclasses.replace(spec, budget=self.budget)
-            tasks.append(_Task(key, spec, timeout_s))
+            budget = spec.budget if spec.budget is not None else self.budget
+            if (timeout_s, budget) != (spec.timeout_s, spec.budget):
+                spec = dataclasses.replace(spec, timeout_s=timeout_s, budget=budget)
+            tasks.append(_Task(key, spec))
 
         if tasks:
-            batch_started = time.perf_counter()
-
             def on_success(task: _Task, result, seconds: float) -> None:
                 # A pool worker's wire is decoded first: one that fails to
                 # decode settles as cache-corrupt and is never cached. An
@@ -534,10 +549,6 @@ class Executor:
                 fan_out(task.key, result)
 
             failures_by_key.update(self._execute_batch(tasks, on_success))
-            if telemetry_runtime.enabled():
-                telemetry_runtime.collector().note_batch(
-                    time.perf_counter() - batch_started
-                )
 
         index_failures: dict[int, RunFailure] = {}
         failures: list[RunFailure] = []
@@ -639,13 +650,6 @@ class Executor:
                 envelope["traceback"],
                 failures,
             )
-        if task.timeout_s is not None and envelope["seconds"] > task.timeout_s:
-            # In-process runs cannot be preempted; enforce the deadline
-            # post-hoc and discard the overdue result so both backends
-            # report the same taxonomy.
-            return self._settle_failure_or_retry(
-                task, "timeout", self._timeout_message(task), None, failures
-            )
         try:
             on_success(task, envelope["result"], envelope["seconds"])
             return False
@@ -657,12 +661,6 @@ class Executor:
                 None,
                 failures,
             )
-
-    @staticmethod
-    def _timeout_message(task: _Task) -> str:
-        # Deliberately free of measured wall times: failure records must be
-        # byte-identical across reruns with the same retry seed.
-        return f"run exceeded its {task.timeout_s:g}s deadline"
 
     # ---------------------------------------------------- the supervision loop
     def _execute_batch(self, tasks, on_success) -> dict[str, RunFailure]:
@@ -724,8 +722,8 @@ class Executor:
                     requeue(task)
                     return
                 in_flight[future] = task
-                if task.timeout_s is not None:
-                    deadlines[future] = time.monotonic() + task.timeout_s
+                if task.spec.timeout_s is not None:
+                    deadlines[future] = time.monotonic() + task.spec.timeout_s
 
         while queue or suspects or in_flight or broke or stuck:
             if (broke or stuck) and not in_flight:
@@ -815,9 +813,8 @@ class Executor:
                     # pool is terminated and respawned once it drains.
                     stuck = True
                 task.attempts += 1
-                if self._settle_failure_or_retry(
-                    task, "timeout", self._timeout_message(task), None, failures
-                ):
+                message = _timeout_message(task.spec.timeout_s)
+                if self._settle_failure_or_retry(task, "timeout", message, None, failures):
                     requeue(task)
             # Refill the freed slots first: the workers run while this
             # process decodes and checkpoints what they handed back. Not

@@ -42,7 +42,6 @@ from repro.experiments import (
 from repro.experiments.base import ExperimentResult
 from repro.experiments.runner import DEFAULT_RUNS
 from repro.study import Study, StudyStats, execute_studies
-from repro.telemetry import runtime as telemetry_runtime
 
 #: ``experiment id -> study(runs=, quick=)``, in report order: every paper
 #: artifact's declarative matrix. :func:`run_experiment` runs one;
@@ -107,15 +106,6 @@ def run_experiment(
     if delta.total_requests:
         line = f"exec: {delta.describe()}; experiment wall time {elapsed:.2f}s"
         result.notes = f"{result.notes}\n{line}" if result.notes else line
-    if telemetry_runtime.enabled():
-        telemetry_runtime.collector().note_experiment(
-            experiment_id=experiment_id,
-            wall_seconds=elapsed,
-            runs_executed=delta.runs_executed,
-            cache_hits=delta.cache_hits,
-            deduplicated=delta.deduplicated,
-            run_seconds=delta.run_seconds,
-        )
     return result
 
 
@@ -143,16 +133,7 @@ def run_all(
     study_results, stats = execute_studies(studies, executor=executor)
     last_union_stats = stats
 
-    results = []
-    for key, study_result in zip(order, study_results):
-        analysis_started = time.perf_counter()
-        result = study_result.analyze()
-        if telemetry_runtime.enabled():
-            telemetry_runtime.collector().note_experiment(
-                experiment_id=key,
-                wall_seconds=time.perf_counter() - analysis_started,
-            )
-        results.append(result)
+    results = [study_result.analyze() for study_result in study_results]
 
     elapsed = time.perf_counter() - started
     delta = executor.stats.since(before)

@@ -52,11 +52,11 @@ def scenario_spec(
     """Describe one repetition of a scenario as a RunSpec.
 
     ``telemetry=None`` / ``verify=None`` read the process-wide switches at
-    description time, so a ``--trace``/``--profile`` invocation records (and
-    an enabled checker verifies) every run the experiments submit —
-    including runs that execute in pool workers. ``timeout_s`` bounds the
-    run's wall clock under the supervised executor (``None`` defers to the
-    executor's default deadline).
+    description time, so a ``--trace`` invocation records (and an enabled
+    checker verifies) every run the experiments submit — including runs that
+    execute in pool workers. ``timeout_s`` bounds the run's wall clock under
+    the supervised executor (``None`` defers to the executor's default
+    deadline).
     """
     if telemetry is None:
         telemetry = telemetry_runtime.enabled()

@@ -130,6 +130,18 @@ def _cache_key(driver_spec: "DriverSpec") -> tuple[str, str]:
     return driver_spec.builder, driver_spec.params_json
 
 
+def profile_cached(driver_spec: "DriverSpec") -> bool:
+    """Whether :func:`load_compiled` would reuse a cached driver for *driver_spec*."""
+    with _cache_lock:
+        return _cache_key(driver_spec) in _cache
+
+
+def evict_profile(driver_spec: "DriverSpec") -> None:
+    """Drop *driver_spec*'s cached driver and profile, if there is one."""
+    with _cache_lock:
+        _cache.pop(_cache_key(driver_spec), None)
+
+
 def clear_profile_cache() -> None:
     """Drop every cached driver/profile (tests and benchmark cold starts)."""
     with _cache_lock:

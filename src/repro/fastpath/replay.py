@@ -36,7 +36,6 @@ What makes it fast:
 from __future__ import annotations
 
 import dataclasses
-import time
 from heapq import heappop, heappush
 from typing import TYPE_CHECKING
 
@@ -141,7 +140,6 @@ class _Replay:
 
     # -------------------------------------------------------------- run loop
     def run(self, telemetry, verify) -> RunResult:  # noqa: C901 - deliberately monolithic hot loop
-        run_started = time.perf_counter()
         spec = self.spec
         driver = self.driver
         scheduler = "dvsync" if self.dvsync else "vsync"
@@ -473,7 +471,6 @@ class _Replay:
             vsync_waiter = True
 
         executed = 0
-        loop_started = time.perf_counter()
         while heap:
             t, eseq, kind, efid, eslot = heappop_(heap)
             if cancelled and eseq in cancelled:
@@ -793,8 +790,6 @@ class _Replay:
                     + max_events_diagnostic(_MAX_EVENTS, t, eseq)
                     + "; likely a scheduling feedback loop"
                 )
-        if recording:
-            session.add_profile("sim.loop", time.perf_counter() - loop_started)
         if horizon is not None and now < horizon:
             now = horizon
 
@@ -837,7 +832,6 @@ class _Replay:
             # tick_index counts fast-forwarded ticks too: each is a no-op
             # compositor tick the live engine executes.
             record_emissions(session, result, log, tick_index + 1, guard.events)
-            session.add_profile("scheduler.run", time.perf_counter() - run_started)
             result.telemetry = session.snapshot(f"{scheduler}@{driver.name}")
         if checker is not None:
             has_front = front is not None

@@ -52,10 +52,9 @@ ExecuteFn = Callable[[RunSpec], RunResult]
 def behavioral_wire(result: RunResult) -> dict:
     """The wire form reduced to *behavior*: what the run did, not who watched.
 
-    Strips the telemetry snapshot (its profile blocks carry wall-clock
-    durations) and the invariant checker's verdict (present exactly when a
-    checker rode along). Everything left must be identical across observer
-    toggles, engines, backends, and re-runs.
+    Strips the telemetry snapshot and the invariant checker's verdict, each
+    present exactly when its observer rode along. Everything left must be
+    identical across observer toggles, engines, backends, and re-runs.
     """
     from repro.exec.serialize import result_to_wire
 
@@ -70,13 +69,6 @@ def behavioral_wire(result: RunResult) -> dict:
 def behavioral_text(result: RunResult) -> str:
     """Canonical JSON of :func:`behavioral_wire` — the comparison currency."""
     return canonical_json(behavioral_wire(result))
-
-
-def snapshot_text(result: RunResult) -> str:
-    """Canonical JSON of the telemetry snapshot minus its wall-clock seconds."""
-    wire = result.telemetry.to_dict()
-    wire["profile"] = {name: entry["count"] for name, entry in wire["profile"].items()}
-    return canonical_json(wire)
 
 
 def _first_difference(a: str, b: str, context: int = 40) -> str:
@@ -157,12 +149,9 @@ class EngineParity(Relation):
         if verdicts[0] != verdicts[1]:
             return f"invariant verdicts diverge: {_first_difference(*verdicts)}"
         if spec.telemetry:
-            event_snapshot, fast_snapshot = snapshot_text(event), snapshot_text(fast)
-            if event_snapshot != fast_snapshot:
-                return (
-                    "telemetry snapshots diverge: "
-                    f"{_first_difference(event_snapshot, fast_snapshot)}"
-                )
+            snapshots = [canonical_json(r.telemetry.to_dict()) for r in (event, fast)]
+            if snapshots[0] != snapshots[1]:
+                return f"telemetry snapshots diverge: {_first_difference(*snapshots)}"
         batch_text = behavioral_text(results[0])
         if batch_text != event_text:
             return (

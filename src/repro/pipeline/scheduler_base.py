@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import abc
 import dataclasses
-import time
 from typing import TYPE_CHECKING, Callable
 
 from repro.display.device import DeviceProfile
@@ -369,7 +368,6 @@ class SchedulerBase(abc.ABC):
         """
         telemetry = self.telemetry
         recording = telemetry is not None and telemetry.enabled
-        run_started = time.perf_counter() if recording else None
         if self.verifier is not None:
             self._log_for_verification()
         self.driver.begin(start_time)
@@ -377,10 +375,7 @@ class SchedulerBase(abc.ABC):
         self.hw_vsync.start(start_time)
         self._kick()
         events_before = self.sim.events_processed
-        loop_started = time.perf_counter()
         self.sim.run(until=horizon, max_events=_MAX_EVENTS)
-        if recording:
-            telemetry.add_profile("sim.loop", time.perf_counter() - loop_started)
         self.hw_vsync.stop()
         result = RunResult(
             scheduler=self.scheduler_name,
@@ -407,7 +402,6 @@ class SchedulerBase(abc.ABC):
 
             events = self.sim.events_processed - events_before
             record_emissions(telemetry, result, self._emissions, self._ticks, events)
-            telemetry.add_profile("scheduler.run", time.perf_counter() - run_started)
             result.telemetry = telemetry.snapshot(
                 f"{self.scheduler_name}@{self.driver.name}"
             )

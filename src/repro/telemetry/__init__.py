@@ -1,12 +1,11 @@
-"""Telemetry: run traces and metrics, wall-clock profiling, and trace export.
+"""Telemetry: run traces and metrics in simulated time, and trace export.
 
 The observability spine of the reproduction (DESIGN.md §9). Telemetry is
 computed from the finished run and a log of its order, so either engine can
 record it. Zero-cost when disabled — schedulers built without a session
 register no hooks; process-wide opt-in (:func:`set_enabled`, driven by the
-CLI's ``--trace`` / ``--profile``) turns every subsequent run into a recorded
-one, including runs that execute in pool workers and come back over the
-result wire.
+CLI's ``--trace``) turns every subsequent run into a recorded one, including
+runs that execute in pool workers and come back over the result wire.
 """
 
 from repro.telemetry.chrome import (
@@ -18,13 +17,6 @@ from repro.telemetry.chrome import (
     validate_chrome_trace,
 )
 from repro.telemetry.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.telemetry.profiler import (
-    ProfileSummary,
-    perf_trajectory,
-    render_profile,
-    summarize_snapshots,
-    write_bench_telemetry,
-)
 from repro.telemetry.runtime import (
     Collector,
     collect,
@@ -53,11 +45,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "ProfileSummary",
-    "perf_trajectory",
-    "render_profile",
-    "summarize_snapshots",
-    "write_bench_telemetry",
     "Collector",
     "collect",
     "collector",

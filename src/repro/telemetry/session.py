@@ -1,13 +1,11 @@
 """Telemetry sessions: the per-run recorder, filled once the run is over.
 
-A :class:`Telemetry` session owns three stores:
+A :class:`Telemetry` session owns two stores, both in *simulated* time:
 
 - an event :class:`~repro.trace.record.Trace` (spans / instants / counter
-  samples in *simulated* nanoseconds);
+  samples in simulated nanoseconds);
 - a :class:`~repro.telemetry.metrics.MetricsRegistry` of counters, gauges,
-  and histograms;
-- a wall-clock profile: named blocks measured with ``time.perf_counter``
-  (scheduler run time, engine loop time, executor batches).
+  and histograms.
 
 During a run either engine only logs the order of what happened, and
 :func:`record_emissions` computes the trace and metrics afterwards, from the
@@ -18,14 +16,14 @@ path costs one branch at construction and nothing per frame.
 
 A finished session freezes into a :class:`TelemetrySnapshot`, the JSON-able
 form that rides on ``RunResult.telemetry`` across the executor's process-pool
-wire (see ``repro.exec.serialize``).
+wire (see ``repro.exec.serialize``). It holds no wall-clock time, so it is
+a function of the run's spec, byte-identical across reruns, engines and
+backends; wall-clock time is measured outside the program, by ``perfbench``.
 """
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
-import time
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from repro.errors import ConfigurationError
@@ -37,7 +35,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Bump when the snapshot wire layout changes (folded into the RunResult
 #: schema via repro.exec.serialize).
-TELEMETRY_SCHEMA_VERSION = 1
+TELEMETRY_SCHEMA_VERSION = 2
 
 #: Emission kinds of a run's ordered ``(kind, index)`` log. A frame kind
 #: indexes ``RunResult.frames`` (by frame id), a present or a drop
@@ -57,13 +55,11 @@ class TelemetrySnapshot:
         name: Session label (scheduler\\@scenario by convention).
         trace: Event trace in simulated nanoseconds.
         metrics: Wire form of the session's metrics registry.
-        profile: Wall-clock blocks — name to ``{"seconds", "count"}``.
     """
 
     name: str
     trace: Trace
     metrics: dict
-    profile: dict
 
     def to_dict(self) -> dict:
         from repro.trace.schema import event_trace_to_payload
@@ -73,7 +69,6 @@ class TelemetrySnapshot:
             "name": self.name,
             "trace": event_trace_to_payload(self.trace),
             "metrics": self.metrics,
-            "profile": self.profile,
         }
 
     @classmethod
@@ -90,17 +85,11 @@ class TelemetrySnapshot:
             name=data["name"],
             trace=event_trace_from_payload(data["trace"]),
             metrics={key: dict(value) for key, value in data["metrics"].items()},
-            profile={key: dict(value) for key, value in data["profile"].items()},
         )
 
     def metrics_registry(self) -> MetricsRegistry:
         """Rehydrate the metrics registry from its wire form."""
         return MetricsRegistry.from_dict(self.metrics)
-
-    def profile_seconds(self, block: str) -> float:
-        """Total wall-clock seconds recorded for one profile block."""
-        entry = self.profile.get(block)
-        return entry["seconds"] if entry else 0.0
 
 
 class Telemetry:
@@ -112,37 +101,14 @@ class Telemetry:
         self.name = name
         self.trace = Trace(name=name)
         self.metrics = MetricsRegistry()
-        self._profile: dict[str, dict[str, float]] = {}
         self._claimed = False
 
-    # ------------------------------------------------------- wall-clock blocks
-    def add_profile(self, block: str, seconds: float, count: int = 1) -> None:
-        """Accumulate wall-clock time under a named profile block."""
-        entry = self._profile.setdefault(block, {"seconds": 0.0, "count": 0})
-        entry["seconds"] += seconds
-        entry["count"] += count
-
-    @contextlib.contextmanager
-    def profile_block(self, block: str):
-        """Measure the wall-clock time of a ``with`` body."""
-        started = time.perf_counter()
-        try:
-            yield self
-        finally:
-            self.add_profile(block, time.perf_counter() - started)
-
-    def profile_seconds(self, block: str) -> float:
-        entry = self._profile.get(block)
-        return entry["seconds"] if entry else 0.0
-
-    # --------------------------------------------------------------- snapshot
     def snapshot(self, name: str | None = None) -> TelemetrySnapshot:
         """Freeze the session into its wire-able form."""
         return TelemetrySnapshot(
             name=name or self.name,
             trace=self.trace,
             metrics=self.metrics.to_dict(),
-            profile={key: dict(value) for key, value in self._profile.items()},
         )
 
 
@@ -154,16 +120,6 @@ class NullTelemetry:
     @property
     def name(self) -> str:
         return "telemetry-off"
-
-    def add_profile(self, block: str, seconds: float, count: int = 1) -> None:
-        pass
-
-    @contextlib.contextmanager
-    def profile_block(self, block: str):
-        yield self
-
-    def profile_seconds(self, block: str) -> float:
-        return 0.0
 
     def snapshot(self, name: str | None = None) -> None:
         return None

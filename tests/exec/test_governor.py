@@ -243,6 +243,32 @@ def test_budget_failure_identical_across_backends_and_never_retried(
     assert inprocess == run(Executor(jobs=2, backend="process", **options))
 
 
+def test_overdue_attempt_evicts_the_replay_driver_it_cached():
+    """A retry of an overdue spec builds again, in-process or in a worker."""
+    from repro.exec.executor import _attempt
+    from repro.fastpath.profile import clear_profile_cache, profile_cached
+
+    slow = _chaos("evict-slow", "sleep", timeout_s=0.05, delay_s=0.1)
+    clear_profile_cache()
+    for attempt_spec in (slow, slow.to_wire()):  # in-process and pool forms
+        envelope = _attempt(attempt_spec)
+        assert envelope["kind"] == "timeout"
+        assert envelope["message"] == "run exceeded its 0.05s deadline"
+        assert not profile_cached(slow.driver)
+    relaxed = dataclasses.replace(slow, timeout_s=None)
+    assert _attempt(relaxed)["ok"]
+    assert profile_cached(relaxed.driver)
+    clear_profile_cache()
+
+
+def test_executor_default_deadline_rides_the_spec():
+    spec = _chaos("default-deadline", "sleep", delay_s=0.3)
+    options = dict(policy="keep-going", retries=FAST_RETRY, timeout_s=0.05)
+    with Executor(jobs=1, **options) as executor:
+        (failure,) = executor.map_outcome([spec]).failures
+    assert (failure.kind, failure.attempts) == ("timeout", 2)
+
+
 def test_budget_failure_does_not_poison_the_unbudgeted_spec():
     capped = _burst("relax", budget=ResourceBudget(max_events=5))
     uncapped = dataclasses.replace(capped, budget=None)

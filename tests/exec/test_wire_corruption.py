@@ -29,7 +29,7 @@ from repro.exec.serialize import (
 from repro.exec.spec import DriverSpec, RunSpec
 from repro.pipeline.compositor import DropEvent
 from repro.pipeline.frame import FrameRecord
-from repro.telemetry.session import TELEMETRY_SCHEMA_VERSION
+from repro.telemetry.session import TELEMETRY_SCHEMA_VERSION, Telemetry
 
 
 def _spec(name="corrupt"):
@@ -85,8 +85,14 @@ def _trace_kind(wire):
         "name": "corrupt",
         "trace": {"kind": "nope"},
         "metrics": {},
-        "profile": {},
     }
+
+
+def _v1_snapshot(wire):
+    # A version-1 snapshot, which still carried wall-clock profile blocks.
+    snapshot = Telemetry("corrupt").snapshot().to_dict()
+    snapshot.update(version=1, profile={"sim.loop": {"seconds": 0.25, "count": 1}})
+    wire["telemetry"] = snapshot
 
 
 def _missing_key(wire):
@@ -104,6 +110,7 @@ CORRUPTIONS = [
     _wrong_schema,
     _telemetry_version,
     _trace_kind,
+    _v1_snapshot,
     _missing_key,
 ]
 

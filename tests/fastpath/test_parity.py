@@ -36,13 +36,8 @@ def _verification_off():
 
 
 def wire_text(result) -> str:
-    """Canonical wire form; a telemetry snapshot's profile blocks keep their
-    keys and counts, while their wall-clock seconds are zeroed."""
-    wire = result_to_wire(result)
-    if wire.get("telemetry") is not None:
-        for block in wire["telemetry"]["profile"].values():
-            block["seconds"] = 0.0
-    return canonical_json(wire)
+    """Canonical wire form, telemetry snapshot included as is."""
+    return canonical_json(result_to_wire(result))
 
 
 def run_both(spec: RunSpec) -> tuple[str, str]:

@@ -1,5 +1,7 @@
 """End-to-end telemetry through schedulers, the wire, and the executor."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.config import DVSyncConfig
@@ -7,8 +9,9 @@ from repro.display.device import PIXEL_5
 from repro.core.dvsync import DVSyncScheduler
 from repro.exec.executor import Executor, execute_spec
 from repro.exec.serialize import result_from_wire, result_to_wire
-from repro.exec.spec import RunSpec
+from repro.exec.spec import RunSpec, canonical_json
 from repro.experiments.runner import scenario_spec
+from repro.fastpath.engine import spec_ineligibility
 from repro.telemetry import runtime
 from repro.telemetry.session import NullTelemetry, Telemetry
 from repro.testing import light_params, make_animation
@@ -47,8 +50,7 @@ def test_enabled_run_attaches_snapshot(pixel5):
     assert registry.value("trigger.frames") == len(result.frames)
     assert registry.value("display.presents") == len(result.presents)
     assert registry.value("run.frames") == len(result.frames)
-    assert snapshot.profile_seconds("scheduler.run") > 0
-    assert snapshot.profile_seconds("sim.loop") > 0
+    assert registry.value("sim.events") > 0
 
 
 def test_dvsync_run_records_decoupled_triggers(pixel5):
@@ -102,8 +104,7 @@ def test_result_wire_roundtrip_preserves_snapshot(pixel5):
     assert clone.telemetry is not None
     assert clone.telemetry.name == result.telemetry.name
     assert clone.telemetry.trace.spans == result.telemetry.trace.spans
-    assert clone.telemetry.metrics == result.telemetry.metrics
-    assert clone.telemetry.profile == result.telemetry.profile
+    assert clone.telemetry == result.telemetry
 
 
 def test_uninstrumented_result_wire_roundtrip(pixel5):
@@ -157,7 +158,6 @@ def test_executor_collects_snapshots_across_backends(tmp_path):
             assert collected == 1  # one per unique simulated spec
             executor.map([spec])  # cache hit also publishes
             assert len(runtime.collector().snapshots) == 2
-        assert runtime.collector().batches == 1
     finally:
         runtime.reset()
 
@@ -174,6 +174,23 @@ def test_pool_worker_round_trips_telemetry(tmp_path):
     for result in results:
         assert result.telemetry is not None
         assert result.telemetry.trace.spans
+
+
+@pytest.mark.parametrize("architecture", ["vsync", "dvsync"])
+def test_telemetry_wire_is_identical_across_reruns_engines_and_backends(architecture):
+    """A snapshot is a function of the spec: its wire is compared unstripped."""
+    spec = scenario_spec(make_scenario(), PIXEL_5, architecture, telemetry=True)
+    assert spec_ineligibility(spec) is None  # the fastpath really replays it
+    results = [
+        execute_spec(dataclasses.replace(spec, engine=engine))
+        for engine in ("event", "event", "fastpath", "fastpath")
+    ]
+    for backend, jobs in (("inprocess", 1), ("process", 2)):
+        with Executor(jobs=jobs, backend=backend, cache=False) as executor:
+            results.extend(executor.map([spec]))
+    wires = {canonical_json(result_to_wire(result)) for result in results}
+    assert len(wires) == 1
+    assert results[0].telemetry.trace.spans
 
 
 def test_telemetry_rejects_bad_argument(pixel5):

@@ -8,6 +8,7 @@ from repro.telemetry.session import (
     NULL_TELEMETRY,
     QUEUED,
     SPAWN,
+    TELEMETRY_SCHEMA_VERSION,
     UI_COMPLETE,
     NullTelemetry,
     Telemetry,
@@ -18,29 +19,25 @@ from repro.telemetry.session import (
 from repro.testing import light_params, make_animation, run_vsync
 
 
-def test_profile_blocks_accumulate():
+def test_snapshot_holds_only_simulated_time():
     session = Telemetry()
-    session.add_profile("sim.loop", 0.25)
-    session.add_profile("sim.loop", 0.75, count=2)
-    assert session.profile_seconds("sim.loop") == pytest.approx(1.0)
-    with session.profile_block("other"):
-        pass
-    assert session.profile_seconds("other") >= 0.0
-    snapshot = session.snapshot("s")
-    assert snapshot.profile["sim.loop"] == {"seconds": 1.0, "count": 3}
+    session.trace.add_span("ui", "frame-0", 100, 200)
+    session.metrics.counter("ui.frames").inc(3)
+    wire = session.snapshot("s").to_dict()
+    assert sorted(wire) == ["metrics", "name", "trace", "version"]
+    assert wire["version"] == TELEMETRY_SCHEMA_VERSION == 2
 
 
 def test_snapshot_wire_roundtrip():
     session = Telemetry("run")
     session.trace.add_span("ui", "frame-0", 100, 200)
     session.metrics.counter("ui.frames").inc(3)
-    session.add_profile("scheduler.run", 0.5)
     snapshot = session.snapshot("vsync@demo")
     clone = TelemetrySnapshot.from_dict(snapshot.to_dict())
     assert clone.name == "vsync@demo"
     assert clone.trace.spans == snapshot.trace.spans
     assert clone.metrics_registry().value("ui.frames") == 3
-    assert clone.profile_seconds("scheduler.run") == pytest.approx(0.5)
+    assert clone == snapshot
 
 
 def test_histograms_appear_only_once_observed():
@@ -96,21 +93,26 @@ def test_runtime_switch_and_collector():
     snapshot = Telemetry("x").snapshot()
     runtime.collect(snapshot)
     runtime.collect(None)  # ignored
-    runtime.collector().note_batch(0.5)
-    runtime.collector().note_experiment("fig05", wall_seconds=1.0, runs_executed=2)
     assert runtime.collector().snapshots == [snapshot]
-    assert runtime.collector().batches == 1
-    assert runtime.collector().experiments[0].experiment_id == "fig05"
     runtime.reset()
     assert runtime.enabled() is False
     assert runtime.collector().snapshots == []
-    assert runtime.collector().experiments == []
+
+
+def test_collector_merges_snapshot_metrics():
+    collector = runtime.Collector()
+    assert collector.merged_metrics().names() == []
+    for name in ("a", "b"):
+        session = Telemetry(name)
+        session.metrics.counter("sim.events").inc(1000)
+        session.metrics.gauge("run.frames").set(len(name))
+        collector.add_snapshot(session.snapshot())
+    merged = collector.merged_metrics()
+    assert merged.value("sim.events") == 2000  # counters add
+    assert merged.value("run.frames") == 1  # gauges keep the last value
 
 
 def test_null_telemetry_is_reusable_across_runs():
     assert isinstance(NULL_TELEMETRY, NullTelemetry)
-    with NULL_TELEMETRY.profile_block("x"):
-        pass
-    assert NULL_TELEMETRY.profile_seconds("x") == 0.0
     assert NULL_TELEMETRY.name == "telemetry-off"
     assert NULL_TELEMETRY.snapshot() is None

@@ -72,14 +72,30 @@ def test_trace_flag_writes_valid_chrome_trace(tmp_path, capsys, monkeypatch):
     assert validate_chrome_trace(document) > 0
 
 
-def test_profile_flag_prints_summary(tmp_path, capsys, monkeypatch):
+def test_profile_flag_is_a_usage_error(capsys):
+    import pytest
+
+    with pytest.raises(SystemExit) as exit_info:
+        main(["fig05", "--quick", "--profile"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --profile" in capsys.readouterr().err
+
+
+def test_trace_metrics_are_identical_on_a_warm_cache(tmp_path, capsys, monkeypatch):
+    """The warm run reads every snapshot back from the cache, byte for byte."""
     monkeypatch.chdir(tmp_path)
-    assert main(["fig05", "--quick", "--profile", "--no-cache"]) == 0
-    out = capsys.readouterr().out
-    assert "=== profile ===" in out
-    assert "instrumented runs:" in out
-    assert "scheduler.run" in out
-    assert "sim.loop" in out
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    reports, traces = [], []
+    for name in ("cold.json", "warm.json"):
+        assert main(["fig05", "--quick", "--trace", name]) == 0
+        out = capsys.readouterr().out
+        # Everything after the trace path: its counts and the metrics table.
+        reports.append(out.partition(f"trace: {name}")[2])
+        traces.append((tmp_path / name).read_bytes())
+    assert "23 cache hits" in out
+    assert "display.presents" in reports[0] and "janks.drops" in reports[0]
+    assert reports[0] == reports[1]
+    assert traces[0] == traces[1]
 
 
 def test_no_telemetry_flags_record_nothing(tmp_path, capsys, monkeypatch):
@@ -88,7 +104,7 @@ def test_no_telemetry_flags_record_nothing(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["fig05", "--quick", "--no-cache"]) == 0
     out = capsys.readouterr().out
-    assert "=== profile ===" not in out
+    assert "trace:" not in out and "display.presents" not in out
     assert runtime.enabled() is False
     assert runtime.collector().snapshots == []
 
