@@ -22,11 +22,6 @@ and over the verification subsystem, for correctness questions:
     python -m repro --verify
     python -m repro --verify --jobs 4
 
-and over the differential spec fuzzer, for everything nobody hand-wrote:
-
-    python -m repro fuzz --budget 200 --seed 0
-    python -m repro fuzz --budget 50 --relation engine-parity
-
 and over the resource governor, for runs that must stay bounded:
 
     python -m repro --all --max-events 2000000 --memory-mb 2048 --keep-going
@@ -113,10 +108,6 @@ def _cache_main(argv: list[str]) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     arguments = list(sys.argv[1:] if argv is None else argv)
-    if arguments and arguments[0] == "fuzz":
-        from repro.fuzz.cli import main as fuzz_main
-
-        return fuzz_main(arguments[1:])
     if arguments and arguments[0] == "cache":
         return _cache_main(arguments[1:])
     argv = arguments

@@ -1,12 +1,13 @@
 """The replayable finding corpus: minimized specs as permanent regressions.
 
-Every violation the fuzzer shrinks is emitted as one JSON file under
-``tests/fuzz/corpus/`` pairing a relation name with a minimized
-:class:`~repro.exec.spec.RunSpec` wire form. ``tests/fuzz/
-test_corpus_replay.py`` re-runs every entry through its recorded relation on
-each tier-1 pass, so a bug found once can never silently return. The corpus
-is also seeded with hand-crafted edge specs sitting on boundaries the
-hand-written suites historically missed.
+Each entry is one JSON file under ``tests/fuzz/corpus/`` pairing a relation
+name with a minimized :class:`~repro.exec.spec.RunSpec` wire form. When a
+property in ``tests/fuzz/test_properties.py`` fails, its message carries the
+shrunk spec as a ready-to-save entry (:meth:`CorpusEntry.to_json`) and its
+file name. ``tests/fuzz/test_corpus_replay.py`` re-runs every entry through
+its recorded relation on each tier-1 pass, so a bug found once can never
+silently return. The corpus also holds hand-crafted edge specs sitting on
+boundaries the hand-written suites historically missed.
 
 Filenames are content-derived (``<relation>-<hash12>.json``) so re-finding
 the same minimized spec overwrites, never duplicates.
@@ -17,17 +18,14 @@ from __future__ import annotations
 import dataclasses
 import json
 import pathlib
-from typing import Any, Iterator, Mapping
+from typing import Any, Mapping
 
 from repro.errors import ConfigurationError
-from repro.exec.spec import RunSpec, canonical_json
+from repro.exec.spec import RunSpec
 from repro.fuzz.relations import ExecuteFn, relations_by_name
 
 #: Bump when the corpus entry layout changes.
 CORPUS_SCHEMA_VERSION = 1
-
-#: The tree-relative corpus directory the CLI and replay suite share.
-DEFAULT_CORPUS_DIR = pathlib.Path("tests") / "fuzz" / "corpus"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -40,8 +38,9 @@ class CorpusEntry:
         detail: The violation message at discovery time, or the reason a
             hand-crafted entry exists. Documentation only — replay asserts
             the relation *holds*, whatever the historical message said.
-        source: Provenance: ``"hand-crafted"`` or ``"fuzz seed=S budget=N"``.
-        knob_delta: Shrinker's distance-from-default count, if shrunk.
+        source: Provenance: ``"hand-crafted"`` or ``"hypothesis"``.
+        knob_delta: Distance from the all-defaults spec, where recorded;
+            every checked-in entry has ``None``.
     """
 
     relation: str
@@ -82,18 +81,22 @@ class CorpusEntry:
     def filename(self) -> str:
         return f"{self.relation}-{self.spec().content_hash()[:12]}.json"
 
+    def to_json(self) -> str:
+        """The entry's file text, exactly as :func:`save_entry` writes it."""
+        return json.dumps(self.to_wire(), indent=2, sort_keys=True) + "\n"
+
 
 def save_entry(entry: CorpusEntry, corpus_dir: str | pathlib.Path) -> pathlib.Path:
     """Write *entry* into *corpus_dir* (created if missing); returns the path."""
     root = pathlib.Path(corpus_dir)
     root.mkdir(parents=True, exist_ok=True)
     path = root / entry.filename()
-    path.write_text(json.dumps(entry.to_wire(), indent=2, sort_keys=True) + "\n")
+    path.write_text(entry.to_json())
     return path
 
 
 def load_corpus(
-    corpus_dir: str | pathlib.Path = DEFAULT_CORPUS_DIR,
+    corpus_dir: str | pathlib.Path,
 ) -> list[tuple[pathlib.Path, CorpusEntry]]:
     """Load every entry under *corpus_dir*, sorted by filename.
 
@@ -112,14 +115,6 @@ def load_corpus(
     return entries
 
 
-def iter_corpus_specs(
-    corpus_dir: str | pathlib.Path = DEFAULT_CORPUS_DIR,
-) -> Iterator[tuple[str, RunSpec]]:
-    """Yield ``(relation, spec)`` pairs for every corpus entry."""
-    for _, entry in load_corpus(corpus_dir):
-        yield entry.relation, entry.spec()
-
-
 def replay_entry(entry: CorpusEntry, execute: ExecuteFn) -> str | None:
     """Re-run one corpus entry through its recorded relation.
 
@@ -132,22 +127,4 @@ def replay_entry(entry: CorpusEntry, execute: ExecuteFn) -> str | None:
     spec = entry.spec()
     if not relation.applies(spec):
         return None
-    results = [execute(probe) for probe in relation.probes(spec)]
-    return relation.check(spec, results, execute)
-
-
-def entry_from_finding(
-    relation: str,
-    spec: RunSpec,
-    detail: str,
-    source: str,
-    knob_delta: int | None,
-) -> CorpusEntry:
-    """Build the corpus entry for one shrunk campaign finding."""
-    return CorpusEntry(
-        relation=relation,
-        spec_wire=json.loads(canonical_json(spec.to_wire())),
-        detail=detail,
-        source=source,
-        knob_delta=knob_delta,
-    )
+    return relation.check(spec, execute)

@@ -1,11 +1,13 @@
 """Metamorphic relations: the fuzzer's oracle catalog.
 
 A fuzzer without an expected output needs *relations between runs* instead
-of golden values. Each :class:`Relation` declares which specs it applies to,
-which sibling specs it needs executed (``probes`` — these ride the
-campaign's one supervised executor batch), and a ``check`` that judges the
-results, optionally re-executing derived specs in-process (forced engines,
-repeat runs) through the ``execute`` callable it is handed.
+of golden values. Each :class:`Relation` declares which specs it applies to
+(``applies``) and a ``check`` that runs whatever it needs — the spec itself,
+derived siblings (forced engines, observer toggles, the VSync twin, repeat
+runs) — through the ``execute`` callable it is handed, and judges the
+results. ``tests/fuzz/test_properties.py`` runs each relation as a
+Hypothesis property over generated specs; ``repro.fuzz.corpus`` replays
+saved counterexamples through the same ``check``.
 
 The catalog:
 
@@ -28,8 +30,8 @@ The catalog:
                      byte-identical failure messages.
 ==================== =====================================================
 
-Checks never embed wall-clock times in their violation details, so a
-campaign's findings file is byte-stable across reruns.
+Checks never embed wall-clock times in their violation details, so the
+same spec always fails with the same message.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from repro.pipeline.scheduler_base import RunResult
 
 #: Signature of the in-process execution hook ``check`` receives: spec in,
 #: result out (a fresh result equals its wire round trip). Exceptions
-#: propagate; the campaign converts them into ``evaluation-crash`` findings.
+#: propagate, so a crash inside a check fails the property that ran it.
 ExecuteFn = Callable[[RunSpec], RunResult]
 
 
@@ -87,34 +89,20 @@ def _first_difference(a: str, b: str, context: int = 40) -> str:
 
 
 class Relation:
-    """One metamorphic relation. Subclasses override the three hooks."""
+    """One metamorphic relation. Subclasses override the two hooks."""
 
-    #: Stable identifier (CLI ``--relation``, corpus entries, findings).
+    #: Stable identifier (corpus entries, property names).
     name: str = "relation"
-    #: One-line description for ``--list-relations`` and DESIGN.md.
+    #: One-line description for DESIGN.md.
     description: str = ""
 
     def applies(self, spec: RunSpec) -> bool:
         """Whether this relation is meaningful for *spec*."""
         return True
 
-    def probes(self, spec: RunSpec) -> list[RunSpec]:
-        """Specs the campaign must execute (they join the one batch)."""
-        return [spec]
-
-    def check(
-        self,
-        spec: RunSpec,
-        results: Sequence[RunResult],
-        execute: ExecuteFn,
-    ) -> str | None:
-        """Judge the probe *results*; return a violation detail or ``None``.
-
-        ``results`` aligns with :meth:`probes`; *execute* runs derived specs
-        in-process when the relation needs runs that cannot share the batch
-        (forced engines collapse to one batch entry because ``engine`` is
-        excluded from the content hash; repeat runs deduplicate likewise).
-        """
+    def check(self, spec: RunSpec, execute: ExecuteFn) -> str | None:
+        """Run *spec* and its derived siblings through *execute*; return a
+        violation detail, or ``None`` when the relation holds."""
         raise NotImplementedError
 
 
@@ -133,7 +121,7 @@ class EngineParity(Relation):
 
         return spec_ineligibility(spec) is None
 
-    def check(self, spec, results, execute) -> str | None:
+    def check(self, spec, execute) -> str | None:
         event = execute(dataclasses.replace(spec, engine="event"))
         try:
             fast = execute(dataclasses.replace(spec, engine="fastpath"))
@@ -152,12 +140,6 @@ class EngineParity(Relation):
             snapshots = [canonical_json(r.telemetry.to_dict()) for r in (event, fast)]
             if snapshots[0] != snapshots[1]:
                 return f"telemetry snapshots diverge: {_first_difference(*snapshots)}"
-        batch_text = behavioral_text(results[0])
-        if batch_text != event_text:
-            return (
-                "batch result diverges from a fresh in-process run: "
-                f"{_first_difference(batch_text, event_text)}"
-            )
         return None
 
 
@@ -167,11 +149,11 @@ class SeedDeterminism(Relation):
     name = "seed-determinism"
     description = (
         "a second execution of the same spec (fresh drivers, fresh rngs "
-        "re-seeded from the spec) is byte-identical to the batch result"
+        "re-seeded from the spec) is byte-identical to the first"
     )
 
-    def check(self, spec, results, execute) -> str | None:
-        first = behavioral_text(results[0])
+    def check(self, spec, execute) -> str | None:
+        first = behavioral_text(execute(spec))
         again = behavioral_text(execute(spec))
         if first != again:
             return f"rerun diverged: {_first_difference(first, again)}"
@@ -187,16 +169,16 @@ class ObserverNeutrality(Relation):
         "run's behavioral bytes unchanged"
     )
 
-    def probes(self, spec: RunSpec) -> list[RunSpec]:
-        base = dataclasses.replace(spec, telemetry=False, verify=False)
-        return [
-            base,
-            dataclasses.replace(base, telemetry=True),
-            dataclasses.replace(base, verify=True),
-        ]
-
-    def check(self, spec, results, execute) -> str | None:
-        base, with_telemetry, with_verify = (behavioral_text(r) for r in results)
+    def check(self, spec, execute) -> str | None:
+        plain = dataclasses.replace(spec, telemetry=False, verify=False)
+        base, with_telemetry, with_verify = (
+            behavioral_text(execute(probe))
+            for probe in (
+                plain,
+                dataclasses.replace(plain, telemetry=True),
+                dataclasses.replace(plain, verify=True),
+            )
+        )
         if with_telemetry != base:
             return (
                 "telemetry perturbed the run: "
@@ -219,11 +201,11 @@ class CacheRoundTrip(Relation):
         "both byte-identity round-trips"
     )
 
-    def check(self, spec, results, execute) -> str | None:
+    def check(self, spec, execute) -> str | None:
         from repro.exec.cache import ResultCache
         from repro.exec.serialize import result_from_wire, result_to_wire
 
-        result = results[0]
+        result = execute(spec)
         reference = canonical_json(result_to_wire(result))
         rebuilt = result_from_wire(json.loads(reference))
         if canonical_json(result_to_wire(rebuilt)) != reference:
@@ -265,14 +247,11 @@ class DropsNotWorse(Relation):
         # stock baseline; starving D-VSync below the baseline is out of scope.
         return dvsync_buffers >= baseline_buffers
 
-    def probes(self, spec: RunSpec) -> list[RunSpec]:
-        baseline = dataclasses.replace(
-            spec, architecture="vsync", dvsync=None, watchdog=False
+    def check(self, spec, execute) -> str | None:
+        dvsync = execute(spec)
+        vsync = execute(
+            dataclasses.replace(spec, architecture="vsync", dvsync=None, watchdog=False)
         )
-        return [spec, baseline]
-
-    def check(self, spec, results, execute) -> str | None:
-        dvsync, vsync = results
         dvsync_drops = len(dvsync.effective_drops)
         vsync_drops = len(vsync.effective_drops)
         if dvsync_drops > vsync_drops:
@@ -295,8 +274,8 @@ class ContentOrder(Relation):
     def applies(self, spec: RunSpec) -> bool:
         return not spec.faults  # injected faults may legitimately skip frames
 
-    def check(self, spec, results, execute) -> str | None:
-        result = results[0]
+    def check(self, spec, execute) -> str | None:
+        result = execute(spec)
         last_frame = -1
         last_content = None
         for index, present in enumerate(result.presents):
@@ -329,10 +308,7 @@ class BudgetParity(Relation):
 
         return spec.budget is None and spec_ineligibility(spec) is None
 
-    def probes(self, spec: RunSpec) -> list[RunSpec]:
-        return []  # derived budgeted runs cannot share the batch
-
-    def check(self, spec, results, execute) -> str | None:
+    def check(self, spec, execute) -> str | None:
         from repro.errors import BudgetExceededError
         from repro.exec.governor import ResourceBudget, measure_run_events
 
@@ -378,7 +354,7 @@ RELATIONS: tuple[Relation, ...] = (
 
 
 def relations_by_name(names: Sequence[str] | None = None) -> tuple[Relation, ...]:
-    """Resolve ``--relation`` selections against the catalog (order kept)."""
+    """Resolve relation names against the catalog (first mention kept)."""
     if not names:
         return RELATIONS
     catalog = {relation.name: relation for relation in RELATIONS}

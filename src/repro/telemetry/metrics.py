@@ -2,7 +2,7 @@
 
 The :class:`MetricsRegistry` is the numeric half of a telemetry session:
 probes increment counters (frames triggered, VSync edges, cache hits), set
-gauges (last queue depth), and feed histograms (per-frame wall times, span
+gauges (a run's frame count), and feed histograms (per-frame wall times, span
 durations). Everything is JSON-able so registries survive the executor's
 process-pool wire round-trip and merge across runs for fleet-level summaries.
 """
@@ -36,7 +36,7 @@ class Counter:
 
 @dataclasses.dataclass
 class Gauge:
-    """A point-in-time value (last observed queue depth, current mode)."""
+    """A value a run sets once (its frame count); merged registries add it."""
 
     name: str
     value: float = 0.0
@@ -135,13 +135,19 @@ class MetricsRegistry:
         return instrument.value
 
     def merge(self, other: "MetricsRegistry") -> None:
-        """Fold another registry into this one (counters add, gauges take the
-        other's value, histograms combine their summaries)."""
+        """Fold another registry into this one (counters and gauges add,
+        histograms combine their summaries).
+
+        Gauges add because every gauge a run records is that run's total
+        (``run.frames``, ``run.drops``, ``run.presents``), so a merge over
+        runs reports totals over runs, like the counters beside them.
+        """
         for instrument in other:
             if isinstance(instrument, Counter):
                 self.counter(instrument.name).inc(instrument.value)
             elif isinstance(instrument, Gauge):
-                self.gauge(instrument.name).set(instrument.value)
+                mine = self.gauge(instrument.name)
+                mine.set(mine.value + instrument.value)
             else:
                 mine = self.histogram(instrument.name)
                 mine.count += instrument.count

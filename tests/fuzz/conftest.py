@@ -29,7 +29,7 @@ def _verification_off():
 
 @pytest.fixture
 def execute():
-    """In-process probe execution, exactly like the campaign's."""
+    """In-process execution, exactly like the properties'."""
     from repro.exec.executor import execute_spec
 
     return execute_spec

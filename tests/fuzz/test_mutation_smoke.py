@@ -1,36 +1,36 @@
-"""Satellite: the fuzzer must catch a deliberately injected engine bug.
+"""Satellite: the properties must catch a deliberately injected engine bug.
 
-Mutation testing for the test subsystem itself: perturb one fastpath frame
-time behind the engines' backs and assert the whole detection pipeline
-fires — the engine-parity relation flags the divergence, the campaign
-records it, the shrinker minimizes it to a near-default spec, and the
-emitted corpus entry replays the violation while the mutant is alive (and
-is clean again once it is reverted).
+Mutation testing for the test subsystem itself: perturb one D-VSync
+fastpath frame time behind the engines' backs and assert the whole pipeline
+fires under the properties' own settings — Hypothesis finds an
+``engine-parity`` violation, shrinks it to within a few knobs of the
+strategy's minimal example, and the corpus entry its failure message
+carries replays the violation while the mutant is alive (and is clean
+again once it is reverted).
 """
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
+from hypothesis import find
 
 from repro.core.config import DVSyncConfig
 from repro.display.device import MATE_40_PRO
-from repro.exec.executor import Executor
 from repro.exec.spec import DriverSpec, RunSpec
-from repro.fuzz.campaign import FuzzCampaign
-from repro.fuzz.corpus import load_corpus, replay_entry
+from repro.fuzz.corpus import load_corpus, replay_entry, save_entry
+from repro.fuzz.relations import EngineParity
+
+from tests.fuzz.strategies import run_specs
+from tests.fuzz.test_properties import FUZZ_SETTINGS, corpus_entry
 
 
-class FixedGenerator:
-    """Generator stub feeding the campaign a hand-picked spec list."""
-
-    def __init__(self, specs):
-        self._specs = list(specs)
-        self.cells_visited = len(self._specs)
-
-    def take(self, budget):
-        return self._specs[:budget]
+def knobs_apart(spec: RunSpec, other: RunSpec) -> int:
+    """How many spec fields and driver params differ between two specs."""
+    left, right = spec.to_wire(), other.to_wire()
+    fields = sum(left[key] != right[key] for key in left if key != "driver")
+    fields += spec.driver.builder != other.driver.builder
+    mine, theirs = spec.driver.params, other.driver.params
+    return fields + sum(mine.get(key) != theirs.get(key) for key in {*mine, *theirs})
 
 
 def _eligible_spec() -> RunSpec:
@@ -51,17 +51,22 @@ def _eligible_spec() -> RunSpec:
 
 @pytest.fixture
 def perturbed_fastpath(monkeypatch):
-    """Shift the first replayed frame's present time by one nanosecond."""
+    """Shift the first replayed D-VSync frame's present time by 1 ns.
+
+    Only D-VSync replays are perturbed, so the strategy's minimal example
+    (a VSync spec) is clean and Hypothesis has to search and shrink.
+    """
     from repro.fastpath import replay as replay_module
 
     pristine = replay_module.replay_spec
 
-    def mutant(*args):
-        result = pristine(*args)
-        for frame in result.frames:
-            if frame.present_time is not None:
-                frame.present_time += 1
-                break
+    def mutant(spec, *args):
+        result = pristine(spec, *args)
+        if spec.architecture == "dvsync":
+            for frame in result.frames:
+                if frame.present_time is not None:
+                    frame.present_time += 1
+                    break
         return result
 
     monkeypatch.setattr(replay_module, "replay_spec", mutant)
@@ -71,35 +76,28 @@ def perturbed_fastpath(monkeypatch):
 def test_mutation_is_detected_shrunk_and_replayable(
     perturbed_fastpath, execute, tmp_path, monkeypatch
 ):
-    executor = Executor(jobs=1, cache=False)
-    try:
-        report = FuzzCampaign(
-            budget=1,
-            seed=0,
-            relations=["engine-parity"],
-            executor=executor,
-            corpus_dir=tmp_path,
-            generator=FixedGenerator([_eligible_spec()]),
-        ).run()
-    finally:
-        executor.close()
+    relation = EngineParity()
 
-    assert not report.ok
-    assert len(report.findings) == 1
-    finding = report.findings[0]
-    assert finding.relation == "engine-parity"
-    assert finding.kind == "violation"
-    assert "present_time" in finding.detail or "first difference" in finding.detail
+    def violated(spec: RunSpec) -> bool:
+        return relation.applies(spec) and relation.check(spec, execute) is not None
 
-    # The shrinker converged to a near-default spec: the mutant corrupts
-    # every eligible replay, so nothing about the original knobs survives.
-    assert finding.knob_delta is not None and finding.knob_delta <= 3
-    assert finding.shrunk_wire is not None
+    found = find(run_specs(), violated, settings=FUZZ_SETTINGS)
+    detail = relation.check(found, execute)
+    assert "first difference" in detail
 
-    # The emitted corpus entry replays the violation while the mutant lives.
+    # Shrunk to a near-default spec: the mutant corrupts every eligible
+    # D-VSync replay, so little beyond the architecture survives.
+    minimal = find(run_specs(), lambda spec: True, settings=FUZZ_SETTINGS)
+    assert found.architecture == "dvsync" and minimal.architecture == "vsync"
+    assert 1 <= knobs_apart(found, minimal) <= 3
+
+    # The failure message's corpus entry replays the violation while the
+    # mutant lives.
+    save_entry(corpus_entry(relation, found, detail), tmp_path)
     entries = load_corpus(tmp_path)
     assert len(entries) == 1
-    _, entry = entries[0]
+    path, entry = entries[0]
+    assert path.name == entry.filename()
     assert entry.relation == "engine-parity"
     assert replay_entry(entry, execute) is not None
 
@@ -111,16 +109,5 @@ def test_mutation_is_detected_shrunk_and_replayable(
 
 
 def test_unperturbed_campaign_is_clean_on_the_same_spec(execute):
-    executor = Executor(jobs=1, cache=False)
-    try:
-        report = FuzzCampaign(
-            budget=1,
-            seed=0,
-            relations=["engine-parity"],
-            executor=executor,
-            corpus_dir=None,
-            generator=FixedGenerator([_eligible_spec()]),
-        ).run()
-    finally:
-        executor.close()
-    assert report.ok, [finding.describe() for finding in report.findings]
+    """Without the mutant, engine parity holds on a hand-picked spec."""
+    assert EngineParity().check(_eligible_spec(), execute) is None

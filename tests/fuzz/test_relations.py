@@ -90,8 +90,19 @@ def test_engine_parity_applies_only_to_eligible_specs():
     assert relation.applies(_spec(telemetry=True))  # recorded runs replay too
 
 
-def test_observer_neutrality_probe_shape():
-    probes = ObserverNeutrality().probes(_spec())
+def _recording(execute, probes):
+    """An ``execute`` that records every spec a check runs."""
+
+    def record(spec):
+        probes.append(spec)
+        return execute(spec)
+
+    return record
+
+
+def test_observer_neutrality_probe_shape(execute):
+    probes = []
+    assert ObserverNeutrality().check(_spec(), _recording(execute, probes)) is None
     assert [probe.telemetry for probe in probes] == [False, True, False]
     assert [probe.verify for probe in probes] == [False, False, True]
 
@@ -132,10 +143,11 @@ def test_drops_not_worse_rejects_starved_dvsync_queue():
     assert not DropsNotWorse().applies(spec)
 
 
-def test_drops_not_worse_baseline_probe_is_the_vsync_twin():
+def test_drops_not_worse_baseline_probe_is_the_vsync_twin(execute):
     spec = _dvsync_spec()
-    probes = DropsNotWorse().probes(spec)
-    assert probes[0] is spec
+    probes = []
+    assert DropsNotWorse().check(spec, _recording(execute, probes)) is None
+    assert len(probes) == 2 and probes[0] is spec
     twin = probes[1]
     assert twin.architecture == "vsync"
     assert twin.dvsync is None
@@ -150,15 +162,13 @@ def test_checks_pass_on_a_healthy_spec(execute):
         ["seed-determinism", "cache-round-trip", "content-order"]
     ):
         assert relation.applies(spec)
-        results = [execute(probe) for probe in relation.probes(spec)]
-        assert relation.check(spec, results, execute) is None, relation.name
+        assert relation.check(spec, execute) is None, relation.name
 
 
 def test_engine_parity_compares_telemetry_snapshots(execute):
     spec = _spec(telemetry=True)
     relation = EngineParity()
-    results = [execute(spec)]
-    assert relation.check(spec, results, execute) is None
+    assert relation.check(spec, execute) is None
 
     def skewed(probe):
         result = execute(probe)
@@ -166,7 +176,7 @@ def test_engine_parity_compares_telemetry_snapshots(execute):
             result.telemetry.trace.add_instant("janks", "frame-drop", 0)
         return result
 
-    detail = relation.check(spec, results, skewed)
+    detail = relation.check(spec, skewed)
     assert detail is not None and "telemetry snapshots diverge" in detail
 
 
@@ -177,5 +187,5 @@ def test_content_order_flags_a_rewind(execute):
     reordered = dataclasses.replace(result.presents[0], frame_id=10**6)
     result.presents[0] = reordered
     relation = relations_by_name(["content-order"])[0]
-    detail = relation.check(spec, [result], execute)
+    detail = relation.check(spec, lambda probe: result)
     assert detail is not None and "after frame" in detail

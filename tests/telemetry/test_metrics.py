@@ -84,6 +84,6 @@ def test_merge_semantics():
     right.histogram("wait").observe(30)
     left.merge(right)
     assert left.value("frames") == 5  # counters add
-    assert left.value("depth") == 5  # gauges take the newer value
+    assert left.value("depth") == 6  # gauges add: each is one run's total
     merged = left.histogram("wait")
     assert merged.count == 2 and merged.min == 10 and merged.max == 30

@@ -109,7 +109,7 @@ def test_collector_merges_snapshot_metrics():
         collector.add_snapshot(session.snapshot())
     merged = collector.merged_metrics()
     assert merged.value("sim.events") == 2000  # counters add
-    assert merged.value("run.frames") == 1  # gauges keep the last value
+    assert merged.value("run.frames") == 2  # gauges add: each is one run's total
 
 
 def test_null_telemetry_is_reusable_across_runs():

@@ -34,13 +34,14 @@ def test_unknown_experiment_id_runs_nothing(capsys, monkeypatch):
 
     ran = []
     monkeypatch.setattr(cli, "run_experiment", lambda key, **_: ran.append(key))
-    with pytest.raises(SystemExit) as exit_info:
-        main(["fig05", "fig99"])
-    assert exit_info.value.code == 2
-    assert ran == []
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "unknown experiment id(s) fig99" in captured.err.splitlines()[-1]
+    for argv, unknown in ((["fig05", "fig99"], "fig99"), (["fuzz"], "fuzz")):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert ran == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unknown experiment id(s) {unknown}" in captured.err.splitlines()[-1]
 
 
 def test_faults_flag_runs_the_drill(capsys):
@@ -94,6 +95,11 @@ def test_trace_metrics_are_identical_on_a_warm_cache(tmp_path, capsys, monkeypat
         traces.append((tmp_path / name).read_bytes())
     assert "23 cache hits" in out
     assert "display.presents" in reports[0] and "janks.drops" in reports[0]
+    # Merging sums the per-run gauges, so they read as totals over the runs.
+    values = dict(
+        line.split() for line in reports[0].splitlines() if len(line.split()) == 2
+    )
+    assert values["run.presents"] == values["display.presents"]
     assert reports[0] == reports[1]
     assert traces[0] == traces[1]
 
