@@ -1,8 +1,9 @@
 """The executor: RunSpecs in, RunResults out, in parallel, cached, supervised.
 
-:func:`execute_spec` is the single seam through which a spec becomes a
-scheduler invocation — the fault drill, every experiment module, and the
-process-pool worker all funnel through it. :class:`Executor` adds the
+:func:`run_driver` is the single seam through which a run becomes a
+scheduler invocation — :func:`execute_spec` (the fault drill, every
+experiment module, the process-pool worker) and ``repro.simulate``'s live
+drivers all funnel through it. :class:`Executor` adds the
 operational layer on top: batch submission with de-duplication, a process
 pool (``--jobs N``) or in-process backend, the content-addressed result
 cache, and per-run timing/cache observability.
@@ -70,6 +71,7 @@ from repro.exec.supervisor import (
     RetryPolicy,
     RunFailure,
 )
+from repro.pipeline.driver import ScenarioDriver
 from repro.pipeline.scheduler_base import RunResult
 from repro.telemetry import runtime as telemetry_runtime
 
@@ -84,24 +86,39 @@ POLICIES = ("fail-fast", "keep-going")
 def execute_spec(spec: RunSpec) -> RunResult:
     """Instantiate and run the scheduler a spec describes (no cache, no pool).
 
-    This is the only place the execution layer turns a spec into a live
-    scheduler; everything above it deals in specs and results.
-    Scheduler and fault imports happen at call time: this module sits below
-    ``repro.experiments`` in the import graph, while the fault drill sits
-    above it.
+    ``spec.telemetry`` / ``spec.verify`` force a session or checker even
+    when this process (a pool worker, say) never flipped the corresponding
+    process-wide switch; ``False`` defers to it.
     """
-    from repro.core.config import DVSyncConfig
+    return run_driver(
+        spec, None, True if spec.telemetry else None, True if spec.verify else None
+    )
+
+
+def run_driver(
+    spec: RunSpec, driver: ScenarioDriver | None, telemetry, verify
+) -> RunResult:
+    """Run *spec* to completion on *driver* (``None``: build ``spec.driver``).
+
+    This is the only place the execution layer turns a run into a live
+    scheduler, for specs and for a caller's live driver alike: it resolves
+    the engine, replays the run when the fastpath may, and otherwise builds
+    the scheduler with the spec's faults, watchdog and budget guard.
+    *telemetry* and *verify* follow the scheduler constructors' tri-state
+    contracts. Scheduler and fault imports happen at call time: this module
+    sits below ``repro.experiments`` in the import graph, while the fault
+    drill sits above it.
+    """
     from repro.core.dvsync import DVSyncScheduler
-    from repro.fastpath.engine import fastpath_attempt, resolve_requested_engine
+    from repro.fastpath.engine import fastpath_attempt, resolve_engine
     from repro.faults.injector import FaultInjector
     from repro.faults.schedule import FaultSchedule
     from repro.faults.watchdog import DegradationWatchdog
     from repro.vsync.scheduler import VSyncScheduler
 
-    driver = None
-    requested = resolve_requested_engine(spec)
+    requested = resolve_engine(spec.engine)
     if requested != "event":
-        result, driver, reason = fastpath_attempt(spec)
+        result, driver, reason = fastpath_attempt(spec, driver, telemetry, verify)
         if result is not None:
             return result
         if requested == "fastpath":
@@ -110,11 +127,6 @@ def execute_spec(spec: RunSpec) -> RunResult:
             )
     if driver is None:
         driver = spec.driver.build()
-    # spec.telemetry / spec.verify force a session or checker even when this
-    # process (a pool worker, say) never flipped the corresponding
-    # process-wide switch; False defers to it.
-    telemetry = True if spec.telemetry else None
-    verify = True if spec.verify else None
     if spec.architecture == "vsync":
         scheduler = VSyncScheduler(
             driver,
@@ -123,13 +135,14 @@ def execute_spec(spec: RunSpec) -> RunResult:
             telemetry=telemetry,
             verify=verify,
         )
-    elif spec.architecture == "dvsync":
-        config = spec.dvsync or DVSyncConfig(buffer_count=spec.buffer_count or 4)
+    else:  # RunSpec.__post_init__ admits only vsync and dvsync
         scheduler = DVSyncScheduler(
-            driver, spec.device, config=config, telemetry=telemetry, verify=verify
+            driver,
+            spec.device,
+            config=spec.dvsync_config(),
+            telemetry=telemetry,
+            verify=verify,
         )
-    else:  # pragma: no cover - RunSpec.__post_init__ already rejects this
-        raise ConfigurationError(f"unknown architecture {spec.architecture!r}")
     if spec.faults:
         schedule = FaultSchedule.parse(spec.faults)
         FaultInjector(schedule, seed=spec.fault_seed).attach(scheduler)

@@ -33,10 +33,13 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import os
-from typing import Any, Iterator, Mapping
+from typing import TYPE_CHECKING, Any, Iterator, Mapping
 
 from repro.errors import BudgetExceededError, ConfigurationError
 from repro.sim.engine import max_events_diagnostic
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.exec.spec import RunSpec
 
 
 @dataclasses.dataclass(frozen=True)
@@ -242,24 +245,21 @@ def counting_probe() -> Iterator[BudgetGuard]:
         _probe = previous
 
 
-def guard_for_spec(spec) -> BudgetGuard | None:
+def guard_for_spec(spec: "RunSpec") -> BudgetGuard | None:
     """The guard a run of *spec* must account events through, if any."""
-    budget = getattr(spec, "budget", None)
+    budget = spec.budget
     if budget is not None and budget.governs_sim:
-        return BudgetGuard.for_budget(
-            budget, start_time=getattr(spec, "start_time", 0)
-        )
+        return BudgetGuard.for_budget(budget, start_time=spec.start_time)
     return _probe
 
 
-def measure_run_events(spec) -> int:
+def measure_run_events(spec: "RunSpec") -> int:
     """Natural event count of *spec*: how many simulator events a full run
     executes (identical on both engines — the budget-parity relation and the
     governor property suite are built on that equality)."""
     from repro.exec.executor import execute_spec
 
-    budget = getattr(spec, "budget", None)
-    if budget is not None:
+    if spec.budget is not None:
         spec = dataclasses.replace(spec, budget=None)
     with counting_probe() as probe:
         execute_spec(spec)

@@ -156,8 +156,9 @@ class RunSpec:
         buffer_count: Buffer-queue capacity for the VSync baseline (``None``
             uses the device default). Ignored under ``"dvsync"`` when
             ``dvsync`` is given.
-        dvsync: D-VSync configuration; defaults to
-            ``DVSyncConfig(buffer_count=buffer_count or 4)`` at execution.
+        dvsync: D-VSync configuration; ``None`` defaults to
+            :meth:`dvsync_config`'s ``DVSyncConfig(buffer_count=buffer_count
+            or 4)`` at execution.
         faults: Fault-schedule clause text (``FaultSchedule.parse`` syntax),
             or ``None`` for a clean run.
         fault_seed: Seed for the fault injector's rngs.
@@ -230,6 +231,10 @@ class RunSpec:
             raise ConfigurationError(
                 f"timeout_s must be > 0 seconds, got {self.timeout_s!r}"
             )
+
+    def dvsync_config(self) -> DVSyncConfig:
+        """The D-VSync configuration a ``"dvsync"`` run executes with."""
+        return self.dvsync or DVSyncConfig(buffer_count=self.buffer_count or 4)
 
     def to_wire(self) -> dict:
         return {

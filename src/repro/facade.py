@@ -6,9 +6,11 @@
   described as a :class:`~repro.exec.spec.RunSpec` and runs through the
   default executor, with its result cache and any configured parallelism;
 * a live :class:`~repro.pipeline.driver.ScenarioDriver` cannot be content-
-  addressed, so it runs in-process. This is the one escape hatch for
-  callers that already hold a driver (tests, ad-hoc exploration, drivers
-  wrapped in live objects).
+  addressed, so it runs in-process, uncached: its run is still described as
+  a ``RunSpec`` and takes the same engine choice and scheduler build
+  (:func:`repro.exec.executor.run_driver`) as a spec does. This is the path
+  for callers that already hold a driver (tests, ad-hoc exploration,
+  drivers wrapped in live objects, aware apps such as the DVFS governor).
 
 Many runs belong in a :class:`~repro.study.Study`, which batches them into
 one executor submission. Either way the result is the same normalized
@@ -24,19 +26,23 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.core.api import Arch, SimConfig
-from repro.core.config import DVSyncConfig
-from repro.core.dvsync import DVSyncScheduler
 from repro.errors import ConfigurationError
-from repro.exec.executor import get_default_executor
+from repro.exec.executor import get_default_executor, run_driver
+from repro.exec.spec import DriverSpec, RunSpec
 from repro.pipeline.driver import ScenarioDriver
 from repro.pipeline.scheduler_base import RunResult
 from repro.telemetry import runtime as telemetry_runtime
-from repro.vsync.scheduler import VSyncScheduler
 from repro.workloads.scenarios import Scenario
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.telemetry.session import NullTelemetry, Telemetry
     from repro.verify.invariants import InvariantChecker
+
+#: The ``driver`` of a live driver's :class:`RunSpec`. It names no builder,
+#: so an executor handed such a spec fails with a :class:`ConfigurationError`
+#: (the driver cannot be built, nor the spec decoded in a pool worker)
+#: instead of running some other driver.
+LIVE_DRIVER = DriverSpec(builder="<live driver>")
 
 
 def simulate(
@@ -135,62 +141,18 @@ def simulate(
                 "under the supervised executor; a live driver runs in-process "
                 "with nothing above it to enforce a deadline"
             )
-        return _run_live_driver(
-            scenario,
-            device,
-            arch.value,
-            buffer_count,
-            dvsync_config,
-            telemetry,
-            verify,
-            config.engine,
+        spec = RunSpec(
+            driver=LIVE_DRIVER,
+            device=device,
+            architecture=arch.value,
+            buffer_count=buffer_count,
+            dvsync=dvsync_config,
+            engine=config.engine,
         )
+        result = run_driver(spec, scenario, telemetry, verify)
+        telemetry_runtime.collect(result.telemetry)
+        return result
 
     raise ConfigurationError(
         f"scenario must be a Scenario or a ScenarioDriver, got {scenario!r}"
     )
-
-
-def _run_live_driver(
-    driver: ScenarioDriver,
-    device,
-    architecture: str,
-    buffer_count: int | None,
-    dvsync_config: DVSyncConfig | None,
-    telemetry,
-    verify,
-    engine: str,
-) -> RunResult:
-    """Run one live driver to completion in-process.
-
-    ``engine`` follows the spec-layer contract: ``"auto"`` replays trace-pure
-    runs through :mod:`repro.fastpath` and falls back to the event loop
-    otherwise; ``"fastpath"`` raises when the run cannot be replayed. The
-    telemetry snapshot (if any) is published to the collector like
-    executor-path runs are.
-    """
-    from repro.fastpath.engine import fastpath_driver_attempt, resolve_engine
-
-    requested = resolve_engine(engine)
-    result = None
-    if requested != "event":
-        result, reason = fastpath_driver_attempt(
-            driver, device, architecture, buffer_count, dvsync_config,
-            telemetry, verify,
-        )
-        if result is None and requested == "fastpath":
-            raise ConfigurationError(
-                f"engine='fastpath' cannot replay this run: {reason}"
-            )
-    if result is None:
-        if architecture == "vsync":
-            scheduler = VSyncScheduler(
-                driver, device, buffer_count, telemetry=telemetry, verify=verify
-            )
-        else:  # SimConfig.normalize folds dvsync buffers into dvsync_config
-            scheduler = DVSyncScheduler(
-                driver, device, dvsync_config, telemetry=telemetry, verify=verify
-            )
-        result = scheduler.run()
-    telemetry_runtime.collect(result.telemetry)
-    return result

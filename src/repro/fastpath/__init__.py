@@ -5,10 +5,11 @@ the scheduling rules directly over the driver's precomputed frame-time array
 (:class:`~repro.pipeline.driver.ReplayProfile`), instead of stepping
 :mod:`repro.sim`'s general discrete-event kernel with its component graph,
 hook lists, and per-event closure allocation. The replay is exact — byte
-identical results on the wire — for every *trace-pure* spec: no fault
-injection, no watchdog, no telemetry or verification session, and a driver
-whose demand is a deterministic function of time (see
-:func:`repro.fastpath.engine.spec_ineligibility`).
+identical results on the wire, telemetry snapshots and invariant verdicts
+included — for every *trace-pure* run: no fault injection, no watchdog, and
+a driver whose demand is a deterministic function of time (see
+:func:`repro.fastpath.engine.spec_ineligibility`). A live driver handed to
+``repro.simulate`` takes the same engine choice as a spec.
 
 Engine selection is part of the exec layer: ``RunSpec.engine`` is ``"auto"``
 (pick fastpath when eligible), ``"event"`` (always the full simulator), or
@@ -20,10 +21,8 @@ cached result is shared across them.
 from repro.fastpath.engine import (
     ENGINES,
     fastpath_attempt,
-    fastpath_driver_attempt,
     get_default_engine,
     resolve_engine,
-    resolve_requested_engine,
     set_default_engine,
     spec_ineligibility,
 )
@@ -34,11 +33,9 @@ __all__ = [
     "CompiledProfile",
     "clear_profile_cache",
     "fastpath_attempt",
-    "fastpath_driver_attempt",
     "get_default_engine",
     "load_compiled",
     "resolve_engine",
-    "resolve_requested_engine",
     "set_default_engine",
     "spec_ineligibility",
 ]

@@ -41,7 +41,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.config import DVSyncConfig
 from repro.core.dtv import DisplayTimeVirtualizer
 from repro.display.hal import PresentRecord
 from repro.errors import ConfigurationError, SimulationError
@@ -126,7 +125,7 @@ class _Replay:
         device = spec.device
         self.dvsync = spec.architecture == "dvsync"
         if self.dvsync:
-            config = spec.dvsync or DVSyncConfig(buffer_count=spec.buffer_count or 4)
+            config = spec.dvsync_config()
             capacity = config.buffer_count
         else:
             config = None

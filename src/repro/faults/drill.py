@@ -11,21 +11,17 @@ still win when the world misbehaves?", and the engine behind the CLI's
 from __future__ import annotations
 
 from repro.core.config import DVSyncConfig
-from repro.core.dvsync import DVSyncScheduler
 from repro.display.device import PIXEL_5, DeviceProfile
 from repro.errors import ExecutionError, WorkloadError
 from repro.exec.executor import get_default_executor
 from repro.exec.spec import DriverSpec, RunSpec
 from repro.experiments.base import ExperimentResult
-from repro.faults.injector import FaultInjector
 from repro.faults.schedule import FaultSchedule
-from repro.faults.watchdog import DegradationWatchdog, WatchdogThresholds
 from repro.metrics.fdps import fdps
 from repro.metrics.latency import latency_summary
 from repro.pipeline.driver import ScenarioDriver
 from repro.pipeline.scheduler_base import RunResult
 from repro.units import ms
-from repro.vsync.scheduler import VSyncScheduler
 from repro.workloads.composite import CompositeDriver
 from repro.workloads.distributions import params_for_target_fdps
 from repro.workloads.drivers import AnimationDriver, InteractionDriver
@@ -82,7 +78,6 @@ def run_drill_pair(
     scenario: str = "composite",
     seed: int = 0,
     device: DeviceProfile = PIXEL_5,
-    thresholds: WatchdogThresholds | None = None,
     timeout_s: float | None = None,
 ) -> tuple[RunResult, RunResult]:
     """Run *scenario* under *schedule* on both architectures.
@@ -93,25 +88,12 @@ def run_drill_pair(
 
     The pair is described as RunSpecs and submitted as one executor batch
     (parallel under ``--jobs``, individually cached, supervised under
-    *timeout_s* when given). Custom watchdog *thresholds* are live objects
-    the spec layer does not name, so that case runs inline.
+    *timeout_s* when given).
 
     Raises :class:`~repro.errors.ExecutionError` if either arm produced no
     result under a keep-going executor — the drill's side-by-side comparison
     is meaningless with one arm missing.
     """
-    if thresholds is not None:
-        baseline = VSyncScheduler(drill_driver(scenario), device, buffer_count=3)
-        FaultInjector(schedule, seed=seed).attach(baseline)
-        vsync_result = baseline.run()
-
-        improved = DVSyncScheduler(
-            drill_driver(scenario), device, DVSyncConfig(buffer_count=4)
-        )
-        FaultInjector(schedule, seed=seed).attach(improved)
-        improved.attach_watchdog(DegradationWatchdog(thresholds))
-        return vsync_result, improved.run()
-
     driver = DriverSpec.of("repro.faults.drill:drill_driver", scenario=scenario)
     faults = schedule.describe()
     vsync_result, dvsync_result = get_default_executor().map(

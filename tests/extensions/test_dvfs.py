@@ -92,8 +92,17 @@ def test_dvsync_absorbs_governed_stretch_better_than_vsync():
 
 
 def test_energy_ledger_accumulates_over_run():
-    inner = make_animation(light_params(), "dvfs-ledger", duration_ms=400)
-    governor = make_governor(window=3.0)
-    result = run_dvsync(GovernedDriver(inner, governor))
-    assert governor.stats.frames == len(result.frames)
-    assert 0 < governor.stats.energy_saving_percent < 100
+    """The caller's own governor reads the run back, also through simulate()
+    (the dvfs experiment reads ``governor.stats`` that way)."""
+    from repro import SimConfig, simulate
+    from repro.display.device import PIXEL_5
+
+    def run_simulate(driver):
+        return simulate(driver, PIXEL_5, config=SimConfig(buffer_count=4))
+
+    for run in (run_dvsync, run_simulate):
+        inner = make_animation(light_params(), "dvfs-ledger", duration_ms=400)
+        governor = make_governor(window=3.0)
+        result = run(GovernedDriver(inner, governor))
+        assert governor.stats.frames == len(result.frames) > 0
+        assert 0 < governor.stats.energy_saving_percent < 100

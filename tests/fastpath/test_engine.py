@@ -13,8 +13,6 @@ from repro.exec.executor import execute_spec
 from repro.exec.serialize import result_to_wire
 from repro.exec.spec import DriverSpec, RunSpec, canonical_json
 from repro.fastpath.engine import (
-    fastpath_attempt,
-    fastpath_driver_attempt,
     get_default_engine,
     reset_default_engine,
     resolve_engine,
@@ -132,6 +130,10 @@ _VERDICT_CASES = {
 
 @pytest.mark.parametrize("case", list(_VERDICT_CASES))
 def test_live_driver_and_spec_paths_agree_on_eligibility(case):
+    """A spec and a live driver take one engine choice: both replay, or both
+    are refused with the same reason, and replayed wires are equal."""
+    from repro import simulate
+    from repro.core.api import SimConfig
     from repro.fastpath.profile import clear_profile_cache
     from repro.telemetry import runtime as telemetry_runtime
     from repro.verify import runtime as verify_runtime
@@ -141,21 +143,37 @@ def test_live_driver_and_spec_paths_agree_on_eligibility(case):
     )
     telemetry_runtime.set_enabled(telemetry_switch)
     verify_runtime.set_enabled(verify_switch)
-    spec = _burst_spec(telemetry=flags[0], verify=flags[1])
+    spec = _burst_spec(telemetry=flags[0], verify=flags[1], engine="fastpath")
     if dvsync is not None:
         spec = dataclasses.replace(
             spec, architecture="dvsync", buffer_count=None, dvsync=dvsync
         )
     clear_profile_cache()
-    spec_result, _, _ = fastpath_attempt(spec)
-    driver_result, _ = fastpath_driver_attempt(
-        spec.driver.build(), spec.device, spec.architecture,
-        spec.buffer_count, spec.dvsync, *live,
-    )
-    assert (spec_result is not None) is replayable
-    assert (driver_result is not None) is replayable
+
+    def run_spec():
+        return execute_spec(spec)
+
+    def run_live():
+        return simulate(
+            spec.driver.build(),
+            spec.device,
+            architecture=spec.architecture,
+            config=SimConfig(
+                buffer_count=spec.buffer_count, dvsync=spec.dvsync, engine="fastpath"
+            ),
+            telemetry=live[0],
+            verify=live[1],
+        )
+
     if replayable:
-        assert wire_text(spec_result) == wire_text(driver_result)
+        assert wire_text(run_spec()) == wire_text(run_live())
+        return
+    refusals = []
+    for run in (run_spec, run_live):
+        with pytest.raises(ConfigurationError, match="cannot replay this spec: ") as refused:
+            run()
+        refusals.append(str(refused.value))
+    assert refusals[0] == refusals[1]
 
 
 # ---------------------------------------------------------------- fallback
@@ -203,7 +221,7 @@ def test_forced_fastpath_raises_for_live_non_trace_pure_driver():
         def make_workload(self, frame_index, content_timestamp):
             return FrameWorkload(ui_ns=1_000_000, render_ns=1_000_000, gpu_ns=0)
 
-    with pytest.raises(ConfigurationError, match="cannot replay this run"):
+    with pytest.raises(ConfigurationError, match="cannot replay this spec"):
         simulate(
             Opaque(),
             PIXEL_5,

@@ -123,3 +123,18 @@ def test_bad_config_type_rejected():
 def test_bad_scenario_type_rejected():
     with pytest.raises(ConfigurationError, match="Scenario"):
         simulate("fig05", PIXEL_5)
+
+
+def test_live_driver_spec_cannot_reach_an_executor():
+    """A live run's RunSpec names no builder: it neither builds nor decodes."""
+    from repro.exec.executor import Executor
+    from repro.exec.spec import RunSpec
+    from repro.facade import LIVE_DRIVER
+
+    spec = RunSpec(driver=LIVE_DRIVER, device=PIXEL_5, architecture="dvsync")
+    with pytest.raises(ConfigurationError, match="cannot resolve driver builder"):
+        spec.driver.build()
+    with pytest.raises(ConfigurationError, match="module:function"):
+        RunSpec.from_wire(spec.to_wire())
+    [failure] = Executor().map_outcome([spec]).failures
+    assert failure.kind == "config"
