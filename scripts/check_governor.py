@@ -124,10 +124,10 @@ def _check_quota_round_trip() -> tuple[bool, dict]:
     """A quota-bound cache must hold its quota after every store."""
     from repro.exec.cache import ResultCache
     from repro.exec.executor import execute_spec
-    from repro.exec.serialize import result_to_wire
+    from repro.exec.serialize import encode_wire, result_to_wire
 
     specs = [_bench_spec(f"governor-quota-{i}", duration_ms=60.0) for i in range(4)]
-    wires = [result_to_wire(execute_spec(spec)) for spec in specs]
+    wires = [encode_wire(result_to_wire(execute_spec(spec))) for spec in specs]
     with tempfile.TemporaryDirectory(prefix="repro-governor-") as root:
         probe = ResultCache(os.path.join(root, "probe"))
         probe.put(specs[0], wires[0])

@@ -14,7 +14,7 @@ from typing import Callable
 PresentListener = Callable[["PresentRecord"], None]
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class PresentRecord:
     """One buffer reaching the panel.
 

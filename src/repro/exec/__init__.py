@@ -45,6 +45,7 @@ from repro.exec.governor import (
 )
 from repro.exec.serialize import (
     RESULT_SCHEMA_VERSION,
+    encode_wire,
     result_from_wire,
     result_to_wire,
 )
@@ -78,6 +79,7 @@ __all__ = [
     "RunSpec",
     "code_salt",
     "counting_probe",
+    "encode_wire",
     "execute_spec",
     "get_default_executor",
     "measure_run_events",

@@ -6,9 +6,11 @@ prior entries instead of serving results computed by different code. The
 salt can be pinned via ``REPRO_CACHE_SALT`` (e.g. in CI, to share a cache
 across identical checkouts without re-hashing).
 
-Entries are result wires stored as given, in JSON files written atomically
-(temp file + rename), fanned out by key prefix to keep directories small. A
-corrupt, unreadable or malformed entry is treated as a miss and removed.
+An entry is a result's encoding (:func:`~repro.exec.serialize.encode_wire`),
+made once by whoever ran it and written verbatim to a JSON file atomically
+(temp file + rename, no ``fsync``: see DESIGN §8), fanned out by key prefix
+to keep directories small. A hit is decoded once, with the cyclic GC paused.
+A corrupt, unreadable or malformed entry is treated as a miss and removed.
 
 An optional disk quota (``quota_bytes``, wired from
 ``ResourceBudget.cache_quota_mb`` / ``REPRO_CACHE_QUOTA_MB`` /
@@ -29,7 +31,12 @@ import pathlib
 import tempfile
 
 # result_to_wire stays bound, unused: profilers wrap each module's binding.
-from repro.exec.serialize import RESULT_SCHEMA_VERSION, result_from_wire, result_to_wire  # noqa: F401
+from repro.exec.serialize import (  # noqa: F401
+    RESULT_SCHEMA_VERSION,
+    gc_paused,
+    result_from_wire,
+    result_to_wire,
+)
 from repro.exec.spec import RunSpec
 from repro.pipeline.scheduler_base import RunResult
 
@@ -111,7 +118,9 @@ class ResultCache:
         """The result stored for *spec*, decoded, or ``None`` on a miss."""
         path = self._path(self.key(spec))
         try:
-            result = result_from_wire(json.loads(path.read_text()))
+            payload = path.read_bytes()
+            with gc_paused():
+                result = result_from_wire(json.loads(payload))
         except FileNotFoundError:
             self.stats.misses += 1
             return None
@@ -132,21 +141,22 @@ class ResultCache:
         self.stats.hits += 1
         return result
 
-    def put(self, spec: RunSpec, wire: dict) -> None:
-        """Store a result *wire* under *spec*'s content address (atomic write)."""
+    def put(self, spec: RunSpec, payload: bytes) -> None:
+        """Store an entry's bytes under *spec*'s content address, verbatim.
+
+        *payload* is a result's :func:`~repro.exec.serialize.encode_wire`.
+        The write is atomic (temp file + rename) but not fsynced: a worker
+        or parent that dies leaves written bytes in the page cache, and an
+        entry torn by a kernel crash or power loss is evicted as a miss.
+        """
         path = self._path(self.key(spec))
         path.parent.mkdir(parents=True, exist_ok=True)
-        payload = json.dumps(wire, separators=(",", ":"))
         fd, tmp_name = tempfile.mkstemp(
             dir=path.parent, prefix=path.stem, suffix=".tmp"
         )
         try:
-            with os.fdopen(fd, "w") as handle:
+            with os.fdopen(fd, "wb") as handle:
                 handle.write(payload)
-                handle.flush()
-                # Durability matters here: checkpointed batch results must
-                # survive the very crashes the supervisor is built to absorb.
-                os.fsync(handle.fileno())
             os.replace(tmp_name, path)
         except BaseException:
             try:
@@ -228,7 +238,9 @@ class ResultCache:
         removed = 0
         for path in self.entries():
             try:
-                result_from_wire(json.loads(path.read_text()))
+                payload = path.read_bytes()
+                with gc_paused():
+                    result_from_wire(json.loads(payload))
             except (ValueError, OSError):
                 path.unlink(missing_ok=True)
                 removed += 1

@@ -43,6 +43,7 @@ import collections
 import concurrent.futures
 import contextlib
 import dataclasses
+import json
 import os
 import time
 import traceback
@@ -58,7 +59,9 @@ from repro.exec.governor import (
     guard_for_spec,
 )
 from repro.exec.serialize import (
+    encode_wire,
     error_envelope,
+    gc_paused,
     ok_envelope,
     result_from_wire,
     result_to_wire,
@@ -183,14 +186,15 @@ def _attempt(spec: RunSpec | dict) -> dict:
     that raises comes back as an error envelope with its taxonomy kind.
 
     A pool worker passes the spec's wire form: it is decoded inside the
-    envelope, the result leaves as its wire, and a spec budget's
-    ``memory_mb`` is applied as ``RLIMIT_AS`` for the duration of the run
-    (restored afterwards — workers are reused), turning a runaway allocation
-    into a clean ``MemoryError`` → kind ``oom`` instead of an OS OOM-kill
-    that would break the whole pool. In-process, the envelope carries the
-    ``RunResult`` itself, and ``memory_mb`` is NOT applied — an RLIMIT_AS
-    clamp there would endanger the host process — but a genuine MemoryError
-    still maps to the taxonomy.
+    envelope, the result leaves as its cache entry's bytes (encoded here,
+    once, so the parent neither encodes nor unpickles nested lists), and a
+    spec budget's ``memory_mb`` is applied as ``RLIMIT_AS`` for the duration
+    of the run (restored afterwards — workers are reused), turning a
+    runaway allocation into a clean ``MemoryError`` → kind ``oom`` instead
+    of an OS OOM-kill that would break the whole pool. In-process, the
+    envelope carries the ``RunResult`` itself, and ``memory_mb`` is NOT
+    applied — an RLIMIT_AS clamp there would endanger the host process —
+    but a genuine MemoryError still maps to the taxonomy.
     Budget trips (``BudgetExceededError``) and ooms carry no traceback:
     their envelopes are deterministic functions of spec + budget,
     byte-identical across backends and engines.
@@ -212,7 +216,7 @@ def _attempt(spec: RunSpec | dict) -> dict:
         with address_space_cap(memory_mb) if in_pool else _UNCAPPED:
             result = execute_spec(spec)
             if in_pool:
-                result = result_to_wire(result)
+                result = encode_wire(result_to_wire(result))
         seconds = time.perf_counter() - started
         if spec.timeout_s is not None and seconds > spec.timeout_s:
             if built_here:
@@ -494,9 +498,9 @@ class Executor:
         Cache hits are served without touching a scheduler; identical specs
         within the batch simulate once and share one result object, which
         callers must treat as read-only; the remainder runs supervised on
-        the configured backend. Each fresh result's wire is checkpointed
-        into the cache the moment it completes, so an interrupted batch
-        resumes from where it died.
+        the configured backend. Each fresh result's entry bytes are
+        checkpointed into the cache the moment it completes, so an
+        interrupted batch resumes from where it died.
         """
         specs = list(specs)
         self.stats.batches += 1
@@ -536,22 +540,24 @@ class Executor:
 
         if tasks:
             def on_success(task: _Task, result, seconds: float) -> None:
-                # A pool worker's wire is decoded first: one that fails to
-                # decode settles as cache-corrupt and is never cached. An
+                # A pool worker's bytes are decoded first: bytes that fail to
+                # decode settle as cache-corrupt and are never cached. An
                 # in-process result is encoded only to be cached.
-                wire = None
+                payload = None
                 if not isinstance(result, RunResult):
-                    wire, result = result, result_from_wire(result)
+                    payload = result
+                    with gc_paused():
+                        result = result_from_wire(json.loads(payload))
                 self.stats.runs_executed += 1
                 self.stats.run_seconds += seconds
                 if self.cache is not None:
-                    if wire is None:
-                        wire = result_to_wire(result)
+                    if payload is None:
+                        payload = encode_wire(result_to_wire(result))
                     before_gc = self.cache.stats.quota_evictions
                     try:
                         # Checkpoint immediately: a later crash in this batch
                         # (or of this process) never re-simulates this spec.
-                        self.cache.put(task.spec, wire)
+                        self.cache.put(task.spec, payload)
                     except OSError:
                         # A full disk or permission flip must not abort the
                         # batch: the result stands, merely uncached.

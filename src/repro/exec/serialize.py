@@ -2,19 +2,23 @@
 
 Results must cross process boundaries (the executor's process-pool backend)
 and cache round-trips without drift, so every record type serializes to a
-fixed-order JSON array and reconstructs to an equal dataclass. The executor
-uses the wire only where a result leaves or enters the process: a pool
-worker's return and a cache write are encoded, and each is decoded once per
-unique spec. An in-process run hands back the result it built. A cache hit,
-a pool result and a fresh local run are still indistinguishable to callers,
-because a fresh result already equals its decoded form, types included:
-scheduler and fault hooks store only JSON-native scalars, lists and
-str-keyed dicts in ``extra``. ``extra`` is still canonicalized on the way
-in (tuples become lists), so a stray tuple cannot corrupt a wire.
+fixed-order JSON array and reconstructs to an equal dataclass. A result has
+one encoding, :func:`encode_wire` of its wire: the bytes of its cache entry.
+A pool worker encodes its result once and returns those bytes; the parent
+decodes them once and writes the same object to the cache. An in-process
+run hands back the result it built and is encoded only to be cached. A cache
+hit, a pool result and a fresh local run are still indistinguishable to
+callers, because a fresh result already equals its decoded form, types
+included: scheduler and fault hooks store only JSON-native scalars, lists
+and str-keyed dicts in ``extra``. ``extra`` is still canonicalized on the
+way in (tuples become lists), so a stray tuple cannot corrupt a wire.
 """
 
 from __future__ import annotations
 
+import contextlib
+import gc
+import json
 from typing import Any
 
 from repro.display.hal import PresentRecord
@@ -167,14 +171,39 @@ def result_from_wire(wire: dict) -> RunResult:
         raise ValueError(f"malformed RunResult wire: {exc!r}") from exc
 
 
-def ok_envelope(result: dict | RunResult, seconds: float) -> dict:
+def encode_wire(wire: dict) -> bytes:
+    """A result wire as the bytes of its cache entry (compact JSON)."""
+    return json.dumps(wire, separators=(",", ":")).encode()
+
+
+@contextlib.contextmanager
+def gc_paused():
+    """Pause the cyclic GC for one decode and restore the caller's state.
+
+    A decode builds one record per frame and per present, and with the
+    collector on those allocations trigger collections that scan every
+    record built so far. The records form no cycles, so reference counting
+    frees everything the pause defers. The pause covers one decode only;
+    the process-wide setting is the caller's, and a decode that raises
+    restores it too.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def ok_envelope(result: bytes | RunResult, seconds: float) -> dict:
     """Wrap a successful attempt's result for the settle step.
 
-    A pool worker's result is its wire; in-process it is the ``RunResult``
-    itself. Workers never raise across the pool: success and failure both
-    travel as tagged envelopes, so a custom exception that does not pickle
-    (or pickles to something that re-raises on load) can never poison the
-    pool protocol.
+    A pool worker's result is its cache entry's bytes (:func:`encode_wire`);
+    in-process it is the ``RunResult`` itself. Workers never raise across
+    the pool: success and failure both travel as tagged envelopes, so a
+    custom exception that does not pickle (or pickles to something that
+    re-raises on load) can never poison the pool protocol.
     """
     return {"ok": True, "result": result, "seconds": seconds}
 

@@ -35,7 +35,6 @@ What makes it fast:
 
 from __future__ import annotations
 
-import dataclasses
 from heapq import heappop, heappush
 from typing import TYPE_CHECKING
 
@@ -75,26 +74,6 @@ _GPU_END = 3
 
 # Sentinel horizon: far beyond any representable run (ns ≈ 146 years).
 _NO_HORIZON = 1 << 62
-
-# PresentRecord is a frozen dataclass, whose __init__ sets each field through
-# object.__setattr__. When its layout is the one this kernel was written
-# against (no slots, no __post_init__), the kernel fills a fresh instance's
-# __dict__ instead: exact state at a fraction of the cost. Any drift in the
-# dataclass falls back to the normal constructor.
-_EXPECTED_PRESENT_FIELDS = (
-    "frame_id",
-    "present_time",
-    "vsync_index",
-    "content_timestamp",
-    "queue_depth_after",
-    "refresh_period",
-)
-_FAST_PRESENT = (
-    tuple(f.name for f in dataclasses.fields(PresentRecord))
-    == _EXPECTED_PRESENT_FIELDS
-    and not hasattr(PresentRecord, "__slots__")
-    and not hasattr(PresentRecord, "__post_init__")
-)
 
 
 def replay_spec(
@@ -297,8 +276,6 @@ class _Replay:
         frame_record = FrameRecord
         drop_event = DropEvent
         present_record = PresentRecord
-        fast_present = _FAST_PRESENT
-        new_present = PresentRecord.__new__
 
         def spawn(ts: int, decoupled: bool, at: int) -> FrameRecord:
             # Scheduler._spawn_frame + RenderPipeline.start_frame +
@@ -521,11 +498,8 @@ class _Replay:
                         present_time = t + period
                         frame.latch_time = t
                         frame.present_time = present_time
-                        if fast_present:
-                            # (frozen __setattr__ forbids rebinding __dict__
-                            # itself; updating it in place is unguarded)
-                            record = new_present(present_record)
-                            record.__dict__.update(
+                        presents.append(
+                            present_record(
                                 frame_id=fid,
                                 present_time=present_time,
                                 vsync_index=tick_index,
@@ -533,16 +507,7 @@ class _Replay:
                                 queue_depth_after=len(fifo),
                                 refresh_period=period,
                             )
-                        else:
-                            record = present_record(
-                                frame_id=fid,
-                                present_time=present_time,
-                                vsync_index=tick_index,
-                                content_timestamp=slot_content[head] or 0,
-                                queue_depth_after=len(fifo),
-                                refresh_period=period,
-                            )
-                        presents.append(record)
+                        )
                         if emit is not None:  # HAL listener, ahead of the DTV's
                             emit((PRESENT, len(presents) - 1))
                         if dvsync:

@@ -203,7 +203,7 @@ class CacheRoundTrip(Relation):
 
     def check(self, spec, execute) -> str | None:
         from repro.exec.cache import ResultCache
-        from repro.exec.serialize import result_from_wire, result_to_wire
+        from repro.exec.serialize import encode_wire, result_from_wire, result_to_wire
 
         result = execute(spec)
         reference = canonical_json(result_to_wire(result))
@@ -212,7 +212,7 @@ class CacheRoundTrip(Relation):
             return "serialize round-trip is not byte-identity"
         with tempfile.TemporaryDirectory(prefix="repro-fuzz-cache-") as root:
             cache = ResultCache(root, salt="fuzz")
-            cache.put(spec, result_to_wire(result))
+            cache.put(spec, encode_wire(result_to_wire(result)))
             hit = cache.get(spec)
             if hit is None:
                 return "cache.put followed by cache.get missed"

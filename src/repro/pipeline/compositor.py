@@ -19,7 +19,7 @@ from repro.graphics.bufferqueue import BufferQueue
 from repro.pipeline.frame import FrameRecord
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class DropEvent:
     """One frame drop: a VSync edge with no new content to display."""
 

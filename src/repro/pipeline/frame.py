@@ -39,7 +39,7 @@ class FrameCategory(enum.Enum):
         return self is FrameCategory.PREDICTABLE_INTERACTION
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class FrameWorkload:
     """Execution demand of one frame.
 
@@ -65,7 +65,7 @@ class FrameWorkload:
         return self.ui_ns + self.render_ns + self.gpu_ns
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(slots=True)
 class FrameRecord:
     """Observed lifecycle of one frame through the pipeline.
 

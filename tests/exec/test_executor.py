@@ -16,8 +16,9 @@ from repro.exec.executor import (
     set_default_executor,
     using_executor,
 )
-from repro.exec.serialize import result_to_wire
+from repro.exec.serialize import encode_wire, result_to_wire
 from repro.exec.spec import DriverSpec, RunSpec
+from repro.pipeline.scheduler_base import RunResult
 
 
 def _spec(name="exec-test", **overrides):
@@ -170,7 +171,9 @@ def test_cache_stores_and_serves_the_wire(tmp_path):
     spec = _spec("cache-wire")
     wire = result_to_wire(execute_spec(spec))
     cache = ResultCache(tmp_path)
-    cache.put(spec, wire)
+    cache.put(spec, encode_wire(wire))
+    (entry,) = cache.entries()
+    assert entry.read_bytes() == encode_wire(wire)  # written verbatim
     result = cache.get(spec)
     assert result_to_wire(result) == wire
     assert cache.stats.hits == 1
@@ -225,13 +228,43 @@ def test_each_unique_spec_is_decoded_at_most_once(tmp_path, monkeypatch, backend
         assert result_to_wire(results[0]) != result_to_wire(results[1])
 
 
-def test_pool_and_inprocess_write_identical_cache_entries(tmp_path):
+class _RecordingCache(ResultCache):
+    """A real cache that keeps every payload handed to ``put``."""
+
+    def __init__(self, root) -> None:
+        super().__init__(root)
+        self.payloads = []
+
+    def put(self, spec, payload) -> None:
+        self.payloads.append(payload)
+        super().put(spec, payload)
+
+
+def test_pool_and_inprocess_write_identical_cache_entries(tmp_path, monkeypatch):
+    arrived = collections.defaultdict(list)
+    settle = Executor._settle_envelope
+
+    def recording(self, task, envelope, failures, on_success):
+        arrived[self.backend].append(envelope["result"])
+        return settle(self, task, envelope, failures, on_success)
+
+    monkeypatch.setattr(Executor, "_settle_envelope", recording)
     specs = [_spec("bytes-a"), _spec("bytes-b"), _spec("bytes-a")]
-    entries = {}
+    entries, caches = {}, {}
     for backend, jobs in (("inprocess", 1), ("process", 2)):
-        cache = ResultCache(tmp_path / backend)
+        cache = caches[backend] = _RecordingCache(tmp_path / backend)
         with Executor(jobs=jobs, backend=backend, cache=cache) as executor:
             executor.map(specs)
         entries[backend] = {path.name: path.read_bytes() for path in cache.entries()}
     assert len(entries["process"]) == 2
     assert entries["process"] == entries["inprocess"]
+    # A pool result crosses as its cache entry's bytes, and the parent
+    # stores that very object; an in-process result is encoded to be cached.
+    assert [type(result) for result in arrived["process"]] == [bytes, bytes]
+    assert [type(result) for result in arrived["inprocess"]] == [RunResult] * 2
+    assert len(caches["process"].payloads) == 2
+    assert all(
+        stored is pooled
+        for stored, pooled in zip(caches["process"].payloads, arrived["process"])
+    )
+    assert sorted(arrived["process"]) == sorted(entries["process"].values())

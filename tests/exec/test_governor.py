@@ -27,7 +27,7 @@ from repro.exec.governor import (
     counting_probe,
     measure_run_events,
 )
-from repro.exec.serialize import result_to_wire
+from repro.exec.serialize import encode_wire, result_to_wire
 from repro.exec.spec import DriverSpec, RunSpec
 from repro.exec.supervisor import RetryPolicy
 
@@ -384,7 +384,7 @@ def test_address_space_cap_restores_limit():
 # ------------------------------------------------------------- cache quota
 def test_cache_quota_gc_evicts_oldest_never_live(tmp_path):
     specs = [_burst(f"gc-{index}", duration_ms=60.0) for index in range(3)]
-    wires = [result_to_wire(execute_spec(spec)) for spec in specs]
+    wires = [encode_wire(result_to_wire(execute_spec(spec))) for spec in specs]
     probe = ResultCache(tmp_path / "probe")
     probe.put(specs[0], wires[0])
     (entry,) = probe.entries()
@@ -411,7 +411,7 @@ def test_cache_quota_gc_evicts_oldest_never_live(tmp_path):
 
 def test_cache_quota_holds_after_every_put(tmp_path):
     specs = [_burst(f"hold-{index}", duration_ms=60.0) for index in range(4)]
-    wires = [result_to_wire(execute_spec(spec)) for spec in specs]
+    wires = [encode_wire(result_to_wire(execute_spec(spec))) for spec in specs]
     probe = ResultCache(tmp_path / "probe")
     probe.put(specs[0], wires[0])
     quota = int(probe.entries()[0].stat().st_size * 1.5)  # one entry only
@@ -428,9 +428,9 @@ def test_cache_scrub_removes_corrupt_entries(tmp_path):
     cache = ResultCache(tmp_path)
     good = _burst("scrub-ok", duration_ms=60.0)
     bad = _burst("scrub-bad", duration_ms=60.0)
-    cache.put(good, result_to_wire(execute_spec(good)))
+    cache.put(good, encode_wire(result_to_wire(execute_spec(good))))
     survivors = set(cache.entries())
-    cache.put(bad, result_to_wire(execute_spec(bad)))
+    cache.put(bad, encode_wire(result_to_wire(execute_spec(bad))))
     (victim,) = set(cache.entries()) - survivors
     victim.write_text("{truncated")
     assert cache.scrub() == 1

@@ -1,13 +1,18 @@
 """Tests for the lossless RunResult wire form."""
 
+import gc
 import json
 
 import pytest
 
 from repro.core.config import DVSyncConfig
 from repro.display.device import PIXEL_5
+from repro.display.hal import PresentRecord
+from repro.exec.cache import ResultCache
 from repro.exec.serialize import (
     RESULT_SCHEMA_VERSION,
+    encode_wire,
+    gc_paused,
     jsonable,
     result_from_wire,
     result_to_wire,
@@ -15,6 +20,8 @@ from repro.exec.serialize import (
 from repro.exec.spec import DriverSpec, RunSpec
 from repro.exec.executor import execute_spec
 from repro.faults.schedule import FaultSchedule
+from repro.pipeline.compositor import DropEvent
+from repro.pipeline.frame import FrameRecord, FrameWorkload
 
 
 def _result(architecture="vsync", faults=None, watchdog=False):
@@ -101,3 +108,64 @@ def test_jsonable_converts_tuples_recursively():
         "a": [1, [2, 3]],
         "b": [4, [5]],
     }
+
+
+def test_records_carry_no_instance_dict():
+    # One record per frame and per present: a __dict__ each made the decoded
+    # quick matrix's results about 16% larger.
+    workload = FrameWorkload(1, 2)
+    records = [
+        workload,
+        FrameRecord(0, workload, 0, 0),
+        PresentRecord(0, 0, 0, 0, 0, 0),
+        DropEvent(0, 0, 0, 0),
+    ]
+    for record in records:
+        assert not hasattr(record, "__dict__"), type(record).__name__
+
+
+def _decode(payload: bytes):
+    with gc_paused():
+        assert not gc.isenabled()
+        return result_from_wire(json.loads(payload))
+
+
+@pytest.fixture
+def payload():
+    enabled = gc.isenabled()
+    yield encode_wire(result_to_wire(_result()))
+    (gc.enable if enabled else gc.disable)()
+
+
+def _missing_key(payload: bytes) -> bytes:
+    wire = json.loads(payload)
+    del wire["end_time"]
+    return encode_wire(wire)
+
+
+def test_gc_pause_restores_an_enabled_gc(payload, tmp_path):
+    gc.enable()
+    assert encode_wire(result_to_wire(_decode(payload))) == payload
+    assert gc.isenabled()
+    for corrupt in (payload[:-1], _missing_key(payload)):
+        with pytest.raises(ValueError):
+            _decode(corrupt)
+        assert gc.isenabled()
+    cache = ResultCache(tmp_path)
+    spec = RunSpec(
+        driver=DriverSpec.of("repro.exec.builders:burst_animation", name="gc"),
+        device=PIXEL_5,
+    )
+    cache.put(spec, payload[:-1])
+    assert cache.get(spec) is None  # evicted as a miss
+    assert cache.stats.evictions == 1
+    assert gc.isenabled()
+
+
+def test_gc_pause_leaves_a_disabled_gc_disabled(payload):
+    gc.disable()
+    _decode(payload)
+    assert not gc.isenabled()
+    with pytest.raises(ValueError):
+        _decode(payload[:-1])
+    assert not gc.isenabled()

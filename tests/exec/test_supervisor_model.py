@@ -220,11 +220,11 @@ class _ScriptedCache(ResultCache):
         super().__init__(root, salt="model", quota_bytes=quota_bytes)
         self.machine = machine
 
-    def put(self, spec, wire) -> None:
+    def put(self, spec, payload) -> None:
         name = spec.driver.params["name"]
         if self.machine.put_fails[name]:
             raise OSError(f"scripted write failure for {name}")
-        super().put(spec, wire)
+        super().put(spec, payload)
 
 
 class SupervisorMachine(RuleBasedStateMachine):

@@ -9,7 +9,6 @@ and never reach the cache.
 import concurrent.futures
 import copy
 import dataclasses
-import json
 
 import pytest
 
@@ -23,6 +22,7 @@ from repro.exec.serialize import (
     _FRAME_FIELDS,
     _PRESENT_FIELDS,
     RESULT_SCHEMA_VERSION,
+    encode_wire,
     result_from_wire,
     result_to_wire,
 )
@@ -155,21 +155,21 @@ def test_decoder_rejects_a_non_mapping(payload):
 def test_corrupt_cache_entry_is_evicted_and_rerun(tmp_path, wire, corruption):
     spec = _spec()
     cache = ResultCache(tmp_path)
-    cache.put(spec, _corrupted(wire, corruption))
+    cache.put(spec, encode_wire(_corrupted(wire, corruption)))
     with Executor(jobs=1, cache=cache) as executor:
         result = executor.run(spec)
         assert executor.stats.cache_evictions == 1
         assert executor.stats.runs_executed == 1
     assert result_to_wire(result) == wire
     (entry,) = cache.entries()
-    assert json.loads(entry.read_text()) == wire  # healed with the fresh run
+    assert entry.read_bytes() == encode_wire(wire)  # healed with the fresh run
 
 
 @pytest.mark.parametrize("corruption", CORRUPTIONS, ids=lambda c: c.__name__[1:])
 def test_corrupt_cache_entry_is_scrubbed(tmp_path, wire, corruption):
     cache = ResultCache(tmp_path)
-    cache.put(_spec(), _corrupted(wire, corruption))
-    cache.put(_spec("sound"), wire)
+    cache.put(_spec(), encode_wire(_corrupted(wire, corruption)))
+    cache.put(_spec("sound"), encode_wire(wire))
     assert cache.scrub() == 1
     assert len(cache.entries()) == 1
 
